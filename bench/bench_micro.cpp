@@ -1,6 +1,6 @@
 // Micro-benchmarks (google-benchmark) for the substrate components:
-// BCP throughput, end-to-end solving, CNF generation, core extraction,
-// and the decision heap.
+// BCP throughput, end-to-end solving, CNF generation, tape replay and
+// preprocessing, core extraction, and the decision heap.
 //
 // `bench_micro --quick` skips the google-benchmark suite and instead
 // runs the benchgen quick suite end to end, writing BENCH_solver.json
@@ -197,6 +197,26 @@ void BM_TapeReplay(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_TapeReplay)->Arg(10)->Arg(20)->Arg(40);
+
+void BM_TapePreprocess(benchmark::State& state) {
+  // The once-per-depth CNF pass in front of the solver (tape scan into
+  // the workspace, simplification, cache store) on BM_TapeReplay's
+  // model.  Each iteration takes a fresh SharedTape, so the pass really
+  // runs instead of hitting the per-depth cache; encoding the frames is
+  // outside the timed region.
+  const auto bm = model::with_distractor(model::fifo_safe(5), 32, 1);
+  const int depth = static_cast<int>(state.range(0));
+  bmc::PreprocessOptions po;
+  po.enabled = true;
+  for (auto _ : state) {
+    state.PauseTiming();
+    bmc::SharedTape tape(bm.net, 0, {}, po);
+    tape.ensure_depth(depth);
+    state.ResumeTiming();
+    benchmark::DoNotOptimize(tape.simplified_clauses_at(depth));
+  }
+}
+BENCHMARK(BM_TapePreprocess)->Arg(10)->Arg(20)->Arg(40);
 
 void BM_RankingProject(benchmark::State& state) {
   const auto bm = model::with_distractor(model::fifo_safe(5), 32, 1);

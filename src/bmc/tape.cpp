@@ -125,19 +125,12 @@ void ClauseTape::replay(Cursor& cursor, const Mark& upto,
   cursor.lit = upto.lits;
 }
 
-void ClauseTape::export_clauses(const Mark& upto,
-                                std::vector<std::vector<sat::Lit>>& out) const {
-  export_clauses_range(Mark{}, upto, out);
-}
-
-void ClauseTape::export_clauses_range(
-    const Mark& from, const Mark& upto,
-    std::vector<std::vector<sat::Lit>>& out) const {
-  out.clear();
-  out.reserve(upto.clauses - from.clauses);
-  scan(from.ops, upto.ops, {}, [&](std::span<const sat::Lit> lits) {
-    out.emplace_back(lits.begin(), lits.end());
-  });
+void ClauseTape::append_clauses(const Mark& from, const Mark& upto,
+                                ClauseList& out) const {
+  out.reserve(out.size() + (upto.clauses - from.clauses),
+              out.num_lits() + (upto.lits - from.lits));
+  scan(from.ops, upto.ops, {},
+       [&](std::span<const sat::Lit> lits) { out.push_back(lits); });
 }
 
 SharedTape::SharedTape(const model::Netlist& net, std::size_t bad_index,
@@ -160,17 +153,13 @@ SharedTape::SharedTape(const model::Netlist& net, std::size_t bad_index,
 }
 
 void SharedTape::recharge_locked() {
-  const auto clause_list_bytes =
-      [](const std::vector<std::vector<sat::Lit>>& cs) {
-        std::size_t n = cs.capacity() * sizeof(std::vector<sat::Lit>);
-        for (const auto& c : cs) n += c.capacity() * sizeof(sat::Lit);
-        return n;
-      };
-  std::size_t caches = 0;
+  // O(depths): every cache is a handful of flat vectors.
+  std::size_t caches = inc_remap_.memory_bytes();
   for (const SimplifiedDepth& s : simplified_)
-    caches += clause_list_bytes(s.result.clauses) + s.cold.capacity();
+    caches += s.clauses.memory_bytes() + s.cold.capacity() +
+              s.remap.memory_bytes();
   for (const IncDelta& d : inc_deltas_) {
-    caches += clause_list_bytes(d.clauses) + d.cold.capacity();
+    caches += d.clauses.memory_bytes() + d.cold.capacity();
     caches += d.resurrected.capacity() * sizeof(sat::Var) +
               d.kept_new.capacity();
   }
@@ -256,26 +245,31 @@ void SharedTape::ensure_simplified_locked(int k) {
 
   const ClauseTape::Mark& mark = depth_marks_[idx];
   obs::TraceSpan span(obs::EventKind::SpanPreprocess, k);
+  const std::uint64_t t0 = obs::monotonic_now_us();
 
-  std::vector<std::vector<sat::Lit>> clauses;
-  tape_.export_clauses(mark, clauses);
-
+  work_.input.clear();
+  tape_.append_clauses(ClauseTape::Mark{}, mark, work_.input);
   std::vector<char> frozen(mark.vars, 0);
   build_frozen_locked(k, mark.vars, frozen);
 
-  const TapePreprocessor pp(preprocess_);
+  SimplifyResult result = TapePreprocessor(preprocess_).run(
+      static_cast<int>(mark.vars), work_.input, frozen, nullptr, work_);
+  result.stats.preprocess_us = obs::monotonic_now_us() - t0;
   SimplifiedDepth& s = simplified_[idx];
-  s.result = pp.run(static_cast<int>(mark.vars), clauses, frozen);
-  s.clause_count = s.result.clauses.size();
+  s.clause_count = result.clauses.size();
   if (cold_) {
     // The clause list is consumed through replay only; keep it encoded
     // and decode on demand (the remapper stays hot — model completion
     // needs it structurally).
-    s.cold = TapeCodec::encode_clauses(s.result.clauses);
+    s.cold = TapeCodec::encode_clauses(result.clauses);
     s.cold.shrink_to_fit();
-    std::vector<std::vector<sat::Lit>>().swap(s.result.clauses);
     s.is_cold = true;
+  } else {
+    s.clauses = std::move(result.clauses);
   }
+  s.remap = std::move(result.remap);
+  s.remap.shrink_to_fit();
+  s.stats = result.stats;
   s.ready = true;
   span.set_value(static_cast<std::int64_t>(s.clause_count));
   recharge_locked();
@@ -294,13 +288,14 @@ void SharedTape::ensure_inc_delta_locked(int f) {
       f > 0 ? depth_marks_[idx - 1] : ClauseTape::Mark{};
   const ClauseTape::Mark& mark = depth_marks_[idx];
   obs::TraceSpan span(obs::EventKind::SpanPreprocess, f);
+  const std::uint64_t t0 = obs::monotonic_now_us();
 
   IncDelta& d = inc_deltas_[idx];
   inc_remap_.grow(static_cast<int>(mark.vars));
   inc_assigned_.resize(mark.vars, sat::l_Undef);
 
-  std::vector<std::vector<sat::Lit>> input;
-  tape_.export_clauses_range(prev, mark, input);
+  work_.input.clear();
+  tape_.append_clauses(prev, mark, work_.input);
 
   // Transitive resurrection: the delta may reference variables BVE
   // eliminated at an earlier depth (global strashing aliases later
@@ -309,24 +304,27 @@ void SharedTape::ensure_inc_delta_locked(int f) {
   // themselves reference other eliminated variables, so chase to
   // fixpoint.  Kit clauses join the simplifier input — seeded root
   // facts and the delta get to simplify them like anything else.
-  std::vector<std::vector<sat::Lit>> kit;
-  const auto scan_clause = [&](const std::vector<sat::Lit>& c) {
+  ClauseList kit;
+  const auto scan_clause = [&](std::span<const sat::Lit> c) {
     for (const sat::Lit l : c) {
       const sat::Var v = l.var();
       if (inc_remap_.is_kept(v)) continue;
-      VarRemapper::Witness w = inc_remap_.resurrect(v);
+      const VarRemapper::Witness& w = inc_remap_.resurrect(v, f);
       d.resurrected.push_back(v);
-      for (auto& kc : w.clauses) kit.push_back(std::move(kc));
-      for (auto& kc : w.removed) kit.push_back(std::move(kc));
+      kit.append(inc_remap_.clauses(), w.first, w.last);
     }
   };
-  for (const auto& c : input) scan_clause(c);
+  for (const std::span<const sat::Lit> c : work_.input) scan_clause(c);
+  std::vector<sat::Lit> copy;
   for (std::size_t i = 0; i < kit.size(); ++i) {
-    const std::vector<sat::Lit> c = kit[i];  // copy: kit may grow
-    scan_clause(c);
+    copy.assign(kit[i].begin(), kit[i].end());  // kit may grow
+    scan_clause(copy);
   }
-  if (!kit.empty())
-    input.insert(input.begin(), kit.begin(), kit.end());
+  if (!kit.empty()) {
+    kit.append(work_.input, 0, work_.input.size());
+    work_.input.clear();
+    work_.input.append(kit, 0, kit.size());
+  }
 
   // Frozen: the scratch recipe for the new variables, plus EVERY
   // variable of earlier depths — cross-depth identity is what makes
@@ -336,33 +334,29 @@ void SharedTape::ensure_inc_delta_locked(int f) {
   build_frozen_locked(f, mark.vars, frozen);
   for (std::size_t v = 0; v < prev.vars; ++v) frozen[v] = 1;
 
-  const TapePreprocessor pp(preprocess_);
-  SimplifyResult result =
-      pp.run(static_cast<int>(mark.vars), input, frozen, &inc_assigned_);
+  SimplifyResult result = TapePreprocessor(preprocess_).run(
+      static_cast<int>(mark.vars), work_.input, frozen, &inc_assigned_, work_);
+  result.stats.preprocess_us = obs::monotonic_now_us() - t0;
 
   // Fold the delta's outcome into the cumulative state.  On fallback
   // (contradiction — degenerate input) the raw delta is cached and no
   // new eliminations or facts are recorded; the resurrections above
   // stand either way (the raw delta references those variables too).
-  if (!result.fell_back) {
-    for (const auto& w : result.remap.witnesses())
-      inc_remap_.eliminate(w.lit, w.clauses, w.removed);
-  }
+  if (!result.fell_back) inc_remap_.append(result.remap, f);
   inc_assigned_ = std::move(result.assigned);
   d.kept_new.assign(mark.vars - prev.vars, 1);
   for (std::size_t v = prev.vars; v < mark.vars; ++v) {
     if (!inc_remap_.is_kept(static_cast<sat::Var>(v)))
       d.kept_new[v - prev.vars] = 0;
   }
-  d.clauses = std::move(result.clauses);
   d.stats = result.stats;
-  d.remap_after = inc_remap_;
-  const std::size_t clause_count = d.clauses.size();
+  const std::size_t clause_count = result.clauses.size();
   if (cold_) {
-    d.cold = TapeCodec::encode_clauses(d.clauses);
+    d.cold = TapeCodec::encode_clauses(result.clauses);
     d.cold.shrink_to_fit();
-    std::vector<std::vector<sat::Lit>>().swap(d.clauses);
     d.is_cold = true;
+  } else {
+    d.clauses = std::move(result.clauses);
   }
   d.ready = true;
   span.set_value(static_cast<std::int64_t>(clause_count));
@@ -405,7 +399,7 @@ void SharedTape::replay_simplified_delta(int f, ClauseTape::Cursor& cursor,
   if (d.is_cold) {
     TapeCodec::decode_clauses(d.cold, emit);
   } else {
-    for (const auto& c : d.clauses) emit(c);
+    for (const std::span<const sat::Lit> c : d.clauses) emit(c);
   }
   // Park at the depth mark, exactly like the scratch simplified replay.
   cursor.op = mark.ops;
@@ -420,11 +414,10 @@ void SharedTape::replay_simplified_to(int k, ClauseTape::Cursor& cursor,
   ensure_simplified_locked(k);
   const ClauseTape::Mark& mark = depth_marks_[static_cast<std::size_t>(k)];
   const SimplifiedDepth& s = simplified_[static_cast<std::size_t>(k)];
-  const SimplifyResult& res = s.result;
 
   const auto& origin = tape_.origin();
   for (std::size_t v = 0; v < mark.vars; ++v) {
-    cursor.var_map.push_back(res.remap.is_kept(static_cast<sat::Var>(v))
+    cursor.var_map.push_back(s.remap.is_kept(static_cast<sat::Var>(v))
                                  ? out.add_var(origin[v])
                                  : sat::kVarUndef);
   }
@@ -437,7 +430,7 @@ void SharedTape::replay_simplified_to(int k, ClauseTape::Cursor& cursor,
   if (s.is_cold) {
     TapeCodec::decode_clauses(s.cold, emit);
   } else {
-    for (const auto& c : res.clauses) emit(c);
+    for (const std::span<const sat::Lit> c : s.clauses) emit(c);
   }
   // Park the cursor at the depth mark: translate() keeps working for
   // property/bad/latch literals over kept (frozen) variables.
@@ -448,7 +441,7 @@ void SharedTape::replay_simplified_to(int k, ClauseTape::Cursor& cursor,
 PreprocessStats SharedTape::preprocess_stats_at(int k) {
   const std::lock_guard<std::mutex> lock(mu_);
   ensure_simplified_locked(k);
-  return simplified_[static_cast<std::size_t>(k)].result.stats;
+  return simplified_[static_cast<std::size_t>(k)].stats;
 }
 
 std::size_t SharedTape::simplified_clauses_at(int k) {
@@ -460,7 +453,7 @@ std::size_t SharedTape::simplified_clauses_at(int k) {
 VarRemapper SharedTape::remapper_at(int k) {
   const std::lock_guard<std::mutex> lock(mu_);
   ensure_simplified_locked(k);
-  return simplified_[static_cast<std::size_t>(k)].result.remap;
+  return simplified_[static_cast<std::size_t>(k)].remap;
 }
 
 PreprocessStats SharedTape::incremental_preprocess_stats_at(int k) {
@@ -472,7 +465,8 @@ PreprocessStats SharedTape::incremental_preprocess_stats_at(int k) {
 VarRemapper SharedTape::incremental_remapper_at(int k) {
   const std::lock_guard<std::mutex> lock(mu_);
   ensure_inc_delta_locked(k);
-  return inc_deltas_[static_cast<std::size_t>(k)].remap_after;
+  return inc_remap_.as_of(
+      k, static_cast<int>(depth_marks_[static_cast<std::size_t>(k)].vars));
 }
 
 sat::Lit SharedTape::property(int k) {

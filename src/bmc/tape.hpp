@@ -22,6 +22,17 @@
 // encoded and keeps the consumed SimplifiedDepth/IncDelta caches
 // encoded too.  Representation-only: verdicts, counters and replay
 // streams are bit-identical with the mode off or on.
+//
+// Preprocessing (preprocess.hpp) runs under the same mutex in one
+// PreprocessWorkspace the tape owns: each pass scans its tape range
+// straight into the workspace, and the arena, occurrence lists and
+// buffers keep their capacity from depth to depth and across racing
+// entrants.  The per-depth caches are flat ClauseLists plus, per
+// scratch depth, its VarRemapper; incremental sessions share one
+// cumulative witness stack whose entries carry the depth that
+// eliminated (and resurrected) them, so the view as of any depth is
+// rebuilt on demand.  Every cache's flat storage, witness stacks
+// included, is charged to the MemTracker.
 #pragma once
 
 #include <cstdint>
@@ -87,15 +98,10 @@ class ClauseTape final : public ClauseSink {
   /// Replays events in [cursor, upto) into `out`, advancing the cursor.
   void replay(Cursor& cursor, const Mark& upto, ClauseSink& out) const;
 
-  /// Copies the clauses recorded up to `upto`, in tape variable space
-  /// (the preprocessing pass consumes them without a sink).
-  void export_clauses(const Mark& upto,
-                      std::vector<std::vector<sat::Lit>>& out) const;
-
-  /// Copies the clauses recorded in (from, upto], in tape variable
-  /// space — one depth's delta for the incremental preprocessing pass.
-  void export_clauses_range(const Mark& from, const Mark& upto,
-                            std::vector<std::vector<sat::Lit>>& out) const;
+  /// Appends the clauses recorded in [from, upto), in tape variable
+  /// space, to `out` (how the preprocessing pass stages its input).
+  void append_clauses(const Mark& from, const Mark& upto,
+                      ClauseList& out) const;
 
   /// Walks ops [op_begin, op_end): on_vars(n) per run of add_var ops,
   /// on_clause(lits) per clause in tape literal space (span valid until
@@ -222,7 +228,8 @@ class SharedTape {
   /// stack for model completion across depths): exactly the elimination
   /// state a consumer that replayed deltas 0..k is solving under, even
   /// when a faster consumer has already advanced the cumulative state
-  /// past k.  Returned by value (snapshot).
+  /// past k.  Built on demand from the cumulative stack (entries live at
+  /// depth k, in elimination order); returned by value.
   VarRemapper incremental_remapper_at(int k);
   /// Clause count of the simplified formula at depth k — what a
   /// preprocessed scratch consumer's solver must end up holding (the
@@ -281,29 +288,29 @@ class SharedTape {
   /// Under cold storage the clause list is kept codec-encoded.
   struct SimplifiedDepth {
     bool ready = false;
-    SimplifyResult result;
+    ClauseList clauses;
     std::size_t clause_count = 0;
-    std::vector<std::uint8_t> cold;  // encoded result.clauses
+    std::vector<std::uint8_t> cold;  // encoded `clauses` (cold mode)
     bool is_cold = false;
+    VarRemapper remap;
+    PreprocessStats stats;
   };
 
   /// One depth's cached incremental delta: the variables resurrected
   /// for it, which of its new variables survived, and the simplified
   /// delta clauses (kit clauses included), all in tape space.
   /// Consumers replay deltas strictly in depth order, so caching makes
-  /// the stream identical race-wide — and each delta snapshots the
-  /// remapper as of its own depth, so a consumer completing a model at
-  /// depth k is immune to faster consumers advancing the cumulative
-  /// state past k.
+  /// the stream identical race-wide.  The remapper a consumer at depth
+  /// k completes models with is inc_remap_.as_of(k), immune to faster
+  /// consumers advancing the cumulative state past k.
   struct IncDelta {
     bool ready = false;
-    std::vector<sat::Var> resurrected;       // sink creation order
-    std::vector<char> kept_new;              // per var in (prev, mark]
-    std::vector<std::vector<sat::Lit>> clauses;  // kits + simplified delta
-    std::vector<std::uint8_t> cold;          // encoded `clauses` (cold mode)
+    std::vector<sat::Var> resurrected;  // sink creation order
+    std::vector<char> kept_new;         // per var in (prev, mark]
+    ClauseList clauses;                 // kits + simplified delta
+    std::vector<std::uint8_t> cold;     // encoded `clauses` (cold mode)
     bool is_cold = false;
     PreprocessStats stats;
-    VarRemapper remap_after;                 // cumulative, as of this depth
   };
 
   mutable std::mutex mu_;
@@ -321,13 +328,14 @@ class SharedTape {
   std::vector<IncDelta> inc_deltas_;           // per depth, lazy
   VarRemapper inc_remap_{0};
   std::vector<sat::lbool> inc_assigned_;       // per tape var
+  PreprocessWorkspace work_;                   // every pass's scratch
 
   // Space accounting (PR 10): cold-storage switch, netlist-derived
   // per-frame reserve estimate, and the footprint charged to `mem_`.
   bool cold_ = false;
   std::size_t est_ops_frame_ = 0;
   std::size_t est_lits_frame_ = 0;
-  std::size_t cache_bytes_ = 0;   // SimplifiedDepth/IncDelta payloads
+  std::size_t cache_bytes_ = 0;   // per-depth caches + witness stacks
   std::size_t last_charged_ = 0;  // last value pushed to mem_
   MemTracker* mem_ = nullptr;
 };

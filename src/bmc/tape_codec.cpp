@@ -114,10 +114,10 @@ void TapeCodec::decode(const EncodedRange& enc,
 }
 
 std::vector<std::uint8_t> TapeCodec::encode_clauses(
-    const std::vector<std::vector<sat::Lit>>& clauses) {
+    const ClauseList& clauses) {
   std::vector<std::uint8_t> bytes;
   Writer w(bytes);
-  for (const auto& c : clauses) w.add_clause(c);
+  for (const std::span<const sat::Lit> c : clauses) w.add_clause(c);
   w.finish();
   return bytes;
 }

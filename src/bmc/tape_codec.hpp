@@ -98,8 +98,7 @@ class TapeCodec {
       const std::function<void(std::span<const sat::Lit>)>& on_clause);
 
   /// Clause-list form (no var records) for the SharedTape caches.
-  static std::vector<std::uint8_t> encode_clauses(
-      const std::vector<std::vector<sat::Lit>>& clauses);
+  static std::vector<std::uint8_t> encode_clauses(const ClauseList& clauses);
   static void decode_clauses(
       std::span<const std::uint8_t> bytes,
       const std::function<void(std::span<const sat::Lit>)>& on_clause);

@@ -214,14 +214,17 @@ bool SocketServer::start(std::string* error) {
     listen_fd_ = -1;
     return false;
   }
-  accept_thread_ = std::thread([this] { accept_main(); });
+  // The accept thread gets the listener by value: stop() resets the
+  // member while the thread may still be blocked in accept().
+  stopping_.store(false, std::memory_order_release);
+  accept_thread_ = std::thread([this, fd = listen_fd_] { accept_main(fd); });
   return true;
 }
 
-void SocketServer::accept_main() {
+void SocketServer::accept_main(int listen_fd) {
   set_log_thread_tag("accept");
   for (;;) {
-    const int fd = ::accept(listen_fd_, nullptr, nullptr);
+    const int fd = ::accept(listen_fd, nullptr, nullptr);
     if (fd < 0) {
       if (errno == EINTR) continue;
       return;  // listener closed (stop()) or fatal

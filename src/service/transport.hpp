@@ -55,7 +55,8 @@ class SocketServer {
   SocketServer& operator=(const SocketServer&) = delete;
 
   /// Binds, listens and starts the accept thread; false + error text on
-  /// failure (stale path is unlinked first).
+  /// failure (stale path is unlinked first).  May be called again after
+  /// stop().
   bool start(std::string* error = nullptr);
 
   /// Closes the listener and joins every handler.
@@ -70,7 +71,7 @@ class SocketServer {
   const std::string& socket_path() const { return socket_path_; }
 
  private:
-  void accept_main();
+  void accept_main(int listen_fd);
 
   JobServer& server_;
   const std::string socket_path_;

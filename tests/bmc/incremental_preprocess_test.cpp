@@ -5,7 +5,9 @@
 // contract that both knobs off IS the PR 7 pipeline, counter for
 // counter; the witness test drives the shared tape directly and proves
 // a counter-example model of the delta-simplified formula recompletes
-// over variables BVE eliminated at earlier depths.
+// over variables BVE eliminated at earlier depths, and the as-of test
+// proves the depth-k view of the cumulative witness stack is unmoved by
+// consumers that already replayed later deltas.
 #include <gtest/gtest.h>
 
 #include <vector>
@@ -128,6 +130,44 @@ TEST(IncrementalPreprocessTest, DeltaPreprocessStatsReported) {
   EXPECT_GT(eliminated, 0u);
 }
 
+/// Identity consumer: tape variables are created densely from 0, so the
+/// collected clauses are in tape variable space verbatim.
+struct CollectSink final : public ClauseSink {
+  std::vector<std::vector<sat::Lit>> clauses;
+  sat::Var next = 0;
+  sat::Var add_var(const VarOrigin&) override { return next++; }
+  void add_clause(std::span<const sat::Lit> lits) override {
+    clauses.emplace_back(lits.begin(), lits.end());
+  }
+};
+
+/// Lifts the solver model back to tape space (eliminated slots undef),
+/// lets the witness stack fill in the eliminated variables, and reports
+/// whether every original clause holds.
+bool completes_original(const VarRemapper& remap, const sat::Solver& solver,
+                        const ClauseTape::Cursor& cursor,
+                        const std::vector<std::vector<sat::Lit>>& original) {
+  std::vector<sat::lbool> values(
+      static_cast<std::size_t>(remap.num_vars()), sat::l_Undef);
+  for (std::size_t t = 0; t < cursor.var_map.size(); ++t) {
+    if (cursor.var_map[t] == sat::kVarUndef) continue;
+    values[t] = solver.model_value(cursor.var_map[t]);
+  }
+  remap.complete_model(values);
+  for (const auto& clause : original) {
+    bool satisfied = false;
+    for (const sat::Lit l : clause) {
+      const sat::lbool v = values[static_cast<std::size_t>(l.var())];
+      if ((v ^ l.negated()) == sat::l_True) {
+        satisfied = true;
+        break;
+      }
+    }
+    if (!satisfied) return false;
+  }
+  return true;
+}
+
 TEST(IncrementalPreprocessTest, WitnessRecompletesAcrossDepthDeltas) {
   // A counter-example found at depth k on the delta-simplified formula
   // must extend — through the cumulative witness stack — to a model of
@@ -135,15 +175,6 @@ TEST(IncrementalPreprocessTest, WitnessRecompletesAcrossDepthDeltas) {
   // depths < k.  Drives SharedTape directly: one identity consumer
   // collects the unsimplified clauses, a solver consumer replays the
   // simplified deltas.
-  struct CollectSink final : public ClauseSink {
-    std::vector<std::vector<sat::Lit>> clauses;
-    sat::Var next = 0;
-    sat::Var add_var(const VarOrigin&) override { return next++; }
-    void add_clause(std::span<const sat::Lit> lits) override {
-      clauses.emplace_back(lits.begin(), lits.end());
-    }
-  };
-
   const auto bm = model::counter_reach(4, 6, true);
   ASSERT_TRUE(bm.expect_fail);
   const int k = bm.expect_depth;
@@ -153,8 +184,6 @@ TEST(IncrementalPreprocessTest, WitnessRecompletesAcrossDepthDeltas) {
   popt.enabled = true;
   SharedTape tape(bm.net, 0, {}, popt);
 
-  // Identity consumer: tape variables are created densely from 0, so the
-  // collected clauses are in tape variable space verbatim.
   ClauseTape::Cursor id_cursor;
   CollectSink original;
   tape.replay_to(k, id_cursor, original);
@@ -170,29 +199,80 @@ TEST(IncrementalPreprocessTest, WitnessRecompletesAcrossDepthDeltas) {
   ASSERT_GT(remap.num_eliminated(), 0u);  // the test must not be vacuous
   ASSERT_EQ(solver.solve({cursor.translate(tape.property(k))}),
             sat::Result::Sat);
+  EXPECT_TRUE(completes_original(remap, solver, cursor, original.clauses));
+}
 
-  // Lift the solver model back to tape space (eliminated slots undef),
-  // then let the witness stack fill in the eliminated variables.
-  std::vector<sat::lbool> values(
-      static_cast<std::size_t>(remap.num_vars()), sat::l_Undef);
-  for (std::size_t t = 0; t < cursor.var_map.size(); ++t) {
-    if (cursor.var_map[t] == sat::kVarUndef) continue;
-    values[t] = solver.model_value(cursor.var_map[t]);
-  }
-  remap.complete_model(values);
+TEST(IncrementalPreprocessTest, RemapperAsOfDepthIgnoresFasterConsumers) {
+  // There is one cumulative witness stack and no per-depth snapshot:
+  // incremental_remapper_at(k) rebuilds depth k's view on demand.  Once
+  // a fast consumer has replayed deltas up to k+3 — resurrecting
+  // variables that were eliminated at depth <= k — the view at k must
+  // still equal, witness for witness, the view of a tape whose deltas
+  // stopped at k, and it must still complete a depth-k model of the
+  // original formula.
+  const auto bm = model::counter_reach(4, 6, true);
+  const int k = 3;
+  ASSERT_LE(k + 3, bm.suggested_bound);
+  PreprocessOptions popt;
+  popt.enabled = true;
 
-  for (const auto& clause : original.clauses) {
-    bool satisfied = false;
-    for (const sat::Lit l : clause) {
-      const sat::lbool v = values[static_cast<std::size_t>(l.var())];
-      if ((v ^ l.negated()) == sat::l_True) {
-        satisfied = true;
-        break;
-      }
-    }
-    EXPECT_TRUE(satisfied);
-    if (!satisfied) break;  // one counter-example clause is enough
+  SharedTape fast(bm.net, 0, {}, popt);
+  {
+    CollectSink sink;
+    ClauseTape::Cursor cursor;
+    for (int f = 0; f <= k + 3; ++f)
+      fast.replay_simplified_delta(f, cursor, sink);
   }
+  const VarRemapper late = fast.incremental_remapper_at(k);
+
+  // Reference: a tape whose deltas stopped at k, with a solver consumer.
+  SharedTape slow(bm.net, 0, {}, popt);
+  sat::Solver solver;
+  std::vector<VarOrigin> origin;
+  SolverSink sink(solver, origin);
+  ClauseTape::Cursor cursor;
+  for (int f = 0; f <= k; ++f) slow.replay_simplified_delta(f, cursor, sink);
+  const VarRemapper stopped = slow.incremental_remapper_at(k);
+
+  // The deltas after k really did resurrect some of depth k's
+  // eliminations, so the cumulative stack has moved on.
+  const VarRemapper ahead = fast.incremental_remapper_at(k + 3);
+  std::size_t resurrected = 0;
+  for (const VarRemapper::Witness& w : stopped.witnesses())
+    resurrected += ahead.is_kept(w.lit.var()) ? 1 : 0;
+  ASSERT_GT(resurrected, 0u);
+
+  ASSERT_EQ(late.num_vars(), stopped.num_vars());
+  for (int v = 0; v < late.num_vars(); ++v)
+    EXPECT_EQ(late.is_kept(v), stopped.is_kept(v)) << "var " << v;
+  ASSERT_EQ(late.num_eliminated(), stopped.num_eliminated());
+  ASSERT_EQ(late.witnesses().size(), stopped.witnesses().size());
+  const auto kit = [](const VarRemapper& r, std::uint32_t first,
+                      std::uint32_t last) {
+    std::vector<std::vector<sat::Lit>> out;
+    for (std::uint32_t i = first; i < last; ++i)
+      out.emplace_back(r.clauses()[i].begin(), r.clauses()[i].end());
+    return out;
+  };
+  for (std::size_t i = 0; i < late.witnesses().size(); ++i) {
+    const VarRemapper::Witness& a = late.witnesses()[i];
+    const VarRemapper::Witness& b = stopped.witnesses()[i];
+    EXPECT_EQ(a.lit, b.lit) << "witness " << i;
+    EXPECT_EQ(a.eliminated_at, b.eliminated_at) << "witness " << i;
+    EXPECT_EQ(kit(late, a.first, a.mid), kit(stopped, b.first, b.mid))
+        << "witness " << i;
+    EXPECT_EQ(kit(late, a.mid, a.last), kit(stopped, b.mid, b.last))
+        << "witness " << i;
+  }
+
+  // Any model of the depth-k delta formula (the transition relation is
+  // satisfiable; the property need not be) completes through the late
+  // view to a model of the original depth-k formula.
+  CollectSink original;
+  ClauseTape::Cursor id_cursor;
+  slow.replay_to(k, id_cursor, original);
+  ASSERT_EQ(solver.solve(), sat::Result::Sat);
+  EXPECT_TRUE(completes_original(late, solver, cursor, original.clauses));
 }
 
 }  // namespace

@@ -19,37 +19,38 @@
 namespace refbmc::bmc {
 namespace {
 
-using Clauses = std::vector<std::vector<sat::Lit>>;
 
 sat::Lit pos(int v) { return sat::Lit::make(static_cast<sat::Var>(v)); }
 sat::Lit neg(int v) {
   return sat::Lit::make(static_cast<sat::Var>(v), true);
 }
 
-SimplifyResult simplify(int num_vars, const Clauses& clauses,
+SimplifyResult simplify(int num_vars, const ClauseList& clauses,
                         std::vector<char> frozen = {},
                         PreprocessOptions opts = {}) {
   opts.enabled = true;
   if (frozen.empty()) frozen.assign(static_cast<std::size_t>(num_vars), 0);
-  return TapePreprocessor(opts).run(num_vars, clauses, frozen);
+  PreprocessWorkspace ws;
+  return TapePreprocessor(opts).run(num_vars, clauses, frozen, nullptr, ws);
 }
 
 std::vector<char> all_frozen(int num_vars) {
   return std::vector<char>(static_cast<std::size_t>(num_vars), 1);
 }
 
-bool contains_clause(const Clauses& clauses, std::vector<sat::Lit> want) {
+bool contains_clause(const ClauseList& clauses, std::vector<sat::Lit> want) {
   std::sort(want.begin(), want.end());
-  for (auto c : clauses) {
-    std::sort(c.begin(), c.end());
-    if (c == want) return true;
+  for (const std::span<const sat::Lit> c : clauses) {
+    std::vector<sat::Lit> have(c.begin(), c.end());
+    std::sort(have.begin(), have.end());
+    if (have == want) return true;
   }
   return false;
 }
 
 TEST(PreprocessTest, SubsumptionRemovesSupersets) {
   // Freeze everything so only subsumption can act.
-  const Clauses in{{pos(0), pos(1)},
+  const ClauseList in{{pos(0), pos(1)},
                    {pos(0), pos(1), pos(2)},
                    {neg(0), pos(2)}};
   const SimplifyResult r = simplify(3, in, all_frozen(3));
@@ -67,7 +68,7 @@ TEST(PreprocessTest, SubsumptionRemovesSupersets) {
 TEST(PreprocessTest, SelfSubsumingResolutionStrengthens) {
   // (0 1) and (~0 1 2): resolving on 0 gives (1 2) ⊂ (~0 1 2), so the
   // longer clause drops ~0.
-  const Clauses in{{pos(0), pos(1)}, {neg(0), pos(1), pos(2)}};
+  const ClauseList in{{pos(0), pos(1)}, {neg(0), pos(1), pos(2)}};
   const SimplifyResult r = simplify(3, in, all_frozen(3));
   EXPECT_GE(r.stats.lits_strengthened, 1u);
   ASSERT_EQ(r.clauses.size(), 2u);
@@ -78,7 +79,7 @@ TEST(PreprocessTest, SelfSubsumingResolutionStrengthens) {
 TEST(PreprocessTest, UnitPropagationKeepsRootFacts) {
   // The unit 0 propagates 1 through (~0 1); both facts must survive as
   // unit clauses so the solver sees the same level-0 trail.
-  const Clauses in{{pos(0)}, {neg(0), pos(1)}, {pos(1), pos(2)}};
+  const ClauseList in{{pos(0)}, {neg(0), pos(1)}, {pos(1), pos(2)}};
   const SimplifyResult r = simplify(3, in, all_frozen(3));
   EXPECT_GE(r.stats.units_propagated, 2u);
   ASSERT_EQ(r.clauses.size(), 2u);
@@ -90,7 +91,7 @@ TEST(PreprocessTest, PureLiteralsAreEliminatedWithWitness) {
   // Var 0 occurs only positively and is not frozen: both holders go,
   // and the witness must be able to re-satisfy them.
   std::vector<char> frozen{0, 1, 1};
-  const Clauses in{{pos(0), pos(1)}, {pos(0), pos(2)}};
+  const ClauseList in{{pos(0), pos(1)}, {pos(0), pos(2)}};
   const SimplifyResult r = simplify(3, in, frozen);
   EXPECT_TRUE(r.clauses.empty());
   EXPECT_EQ(r.stats.pure_literals, 1u);
@@ -107,7 +108,7 @@ TEST(PreprocessTest, BoundedVariableEliminationResolves) {
   // Var 1 has one positive and two negative occurrences; the two
   // resolvents replace three clauses (NiVER accepts).
   std::vector<char> frozen{1, 0, 1, 1};
-  const Clauses in{{pos(1), pos(0)}, {neg(1), pos(2)}, {neg(1), neg(3)}};
+  const ClauseList in{{pos(1), pos(0)}, {neg(1), pos(2)}, {neg(1), neg(3)}};
   const SimplifyResult r = simplify(4, in, frozen);
   EXPECT_EQ(r.stats.vars_eliminated, 1u);
   EXPECT_FALSE(r.remap.is_kept(1));
@@ -118,7 +119,7 @@ TEST(PreprocessTest, BoundedVariableEliminationResolves) {
 
 TEST(PreprocessTest, FrozenVariablesAreNeverEliminated) {
   // Same formula, everything frozen: no elimination, no pure removal.
-  const Clauses in{{pos(1), pos(0)}, {neg(1), pos(2)}, {neg(1), neg(3)}};
+  const ClauseList in{{pos(1), pos(0)}, {neg(1), pos(2)}, {neg(1), neg(3)}};
   const SimplifyResult r = simplify(4, in, all_frozen(4));
   EXPECT_EQ(r.stats.vars_eliminated, 0u);
   EXPECT_EQ(r.remap.num_eliminated(), 0u);
@@ -126,7 +127,7 @@ TEST(PreprocessTest, FrozenVariablesAreNeverEliminated) {
 }
 
 TEST(PreprocessTest, ContradictionFallsBackToInput) {
-  const Clauses in{{pos(0)}, {neg(0)}};
+  const ClauseList in{{pos(0)}, {neg(0)}};
   const SimplifyResult r = simplify(1, in, all_frozen(1));
   EXPECT_TRUE(r.fell_back);
   EXPECT_EQ(r.clauses.size(), in.size());
@@ -137,9 +138,10 @@ TEST(PreprocessTest, WitnessCompletionExtendsAnySimplifiedModel) {
   // A Tseitin AND-chain y_i = x_i & y_{i-1}: the y's are eliminable,
   // the x's are the frozen "inputs".  Any model of the simplified
   // formula must extend to a model of the original through the witness
-  // stack — the exact contract extract_trace relies on.
+  // stack — the full-model round trip the soundness tests rely on
+  // (extract_trace itself reads only frozen variables).
   constexpr int kInputs = 5;
-  Clauses in;
+  ClauseList in;
   // vars 0..4 = x inputs (frozen), 5..9 = y chain, var 10 = top unit.
   int y_prev = 0;  // y_0 alias: x_0
   int next = kInputs;
@@ -163,7 +165,8 @@ TEST(PreprocessTest, WitnessCompletionExtendsAnySimplifiedModel) {
   // directly into a solver with the same variable count).
   sat::Solver solver;
   while (solver.num_vars() < num_vars) solver.new_var();
-  for (const auto& c : r.clauses) solver.add_clause(c);
+  for (const std::span<const sat::Lit> c : r.clauses)
+    solver.add_clause(std::vector<sat::Lit>(c.begin(), c.end()));
   ASSERT_EQ(solver.solve(), sat::Result::Sat);
 
   std::vector<sat::lbool> values(static_cast<std::size_t>(num_vars),
@@ -174,7 +177,7 @@ TEST(PreprocessTest, WitnessCompletionExtendsAnySimplifiedModel) {
           solver.model_value(static_cast<sat::Var>(v));
   r.remap.complete_model(values);
 
-  for (const auto& clause : in) {
+  for (const std::span<const sat::Lit> clause : in) {
     bool satisfied = false;
     for (const sat::Lit l : clause) {
       const sat::lbool v = values[static_cast<std::size_t>(l.var())];

@@ -232,9 +232,11 @@ TEST(ClauseTapeColdTest, FreezePrefixIsInvisibleToReplay) {
   EXPECT_TRUE(streams_equal(reference, replayed));
 
   // Mid-range reads crossing the frozen/raw boundary must also agree.
-  std::vector<std::vector<sat::Lit>> exported;
-  tape.export_clauses(end, exported);
-  EXPECT_EQ(exported, reference.clauses);
+  ClauseList exported;
+  tape.append_clauses(ClauseTape::Mark{}, end, exported);
+  ASSERT_EQ(exported.size(), reference.clauses.size());
+  for (std::size_t i = 0; i < exported.size(); ++i)
+    EXPECT_TRUE(std::ranges::equal(exported[i], reference.clauses[i])) << i;
 }
 
 TEST(ClauseTapeColdTest, ColdSharedTapeIsBitIdenticalToHot) {
