@@ -166,7 +166,7 @@ inline RowComparison compare_row(const model::Benchmark& bm,
   }
   if (all_finished) {
     row.compared_depth = runs.front().last_depth();
-    row.verdict = bm.expect_fail ? "F" : "T";
+    row.verdict = bm.expect_fail ? 'F' : 'T';
     for (const auto& r : runs) {
       // Compare accumulated SAT-solver time: CNF generation is identical
       // across policies (the paper's industrial circuits were entirely
@@ -180,7 +180,9 @@ inline RowComparison compare_row(const model::Benchmark& bm,
   } else {
     row.capped = true;
     row.compared_depth = std::max(min_depth, 0);
-    row.verdict = "(" + std::to_string(row.compared_depth) + ")";
+    row.verdict = '(';
+    row.verdict += std::to_string(row.compared_depth);
+    row.verdict += ')';
     for (const auto& r : runs) {
       row.times.push_back(cumulative_time_at(r, row.compared_depth));
       std::uint64_t dec = 0;

@@ -347,9 +347,10 @@ BmcResult BmcEngine::run() {
     // projected to the model axis and published into the RankSource
     // (which a shared source fans out to every racing rival).
     if (scfg.track_cdg) {
-      const std::vector<sat::Var> core_vars = solver.unsat_core_vars();
+      const std::vector<sat::ClauseId> core = solver.unsat_core();
+      const std::vector<sat::Var> core_vars = solver.unsat_core_vars(core);
       stats.core_vars = core_vars.size();
-      stats.core_clauses = solver.unsat_core().size();
+      stats.core_clauses = core.size();
       if (config_.verify_cores) {
         const sat::CoreCheck check = sat::verify_core(solver);
         REFBMC_ASSERT_MSG(check.core_unsat,

@@ -18,8 +18,12 @@ std::string Trace::to_string(const model::Netlist& net) const {
   os << "  init:";
   for (std::size_t i = 0; i < latches.size(); ++i) {
     const std::string& nm = net.name(latches[i]);
-    os << ' ' << (nm.empty() ? "l" + std::to_string(i) : nm) << '='
-       << (initial_latches[i] ? '1' : '0');
+    os << ' ';
+    if (nm.empty())
+      os << 'l' << i;
+    else
+      os << nm;
+    os << '=' << (initial_latches[i] ? '1' : '0');
   }
   os << '\n';
   const auto& ins = net.inputs();
@@ -27,8 +31,12 @@ std::string Trace::to_string(const model::Netlist& net) const {
     os << "  frame " << f << ':';
     for (std::size_t i = 0; i < ins.size(); ++i) {
       const std::string& nm = net.name(ins[i]);
-      os << ' ' << (nm.empty() ? "i" + std::to_string(i) : nm) << '='
-         << (inputs[f][i] ? '1' : '0');
+      os << ' ';
+      if (nm.empty())
+        os << 'i' << i;
+      else
+        os << nm;
+      os << '=' << (inputs[f][i] ? '1' : '0');
     }
     os << '\n';
   }

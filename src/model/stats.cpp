@@ -47,7 +47,9 @@ namespace {
 
 std::string node_name(const Netlist& net, NodeId id) {
   if (!net.name(id).empty()) return net.name(id);
-  return "n" + std::to_string(id);
+  std::string name = "n";
+  name += std::to_string(id);
+  return name;
 }
 
 void write_edge(std::ostream& out, const Netlist& net, Signal from,

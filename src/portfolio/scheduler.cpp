@@ -369,7 +369,8 @@ BatchReport PortfolioScheduler::run_batch(
   threads.reserve(static_cast<std::size_t>(workers));
   for (int w = 0; w < workers; ++w) {
     threads.emplace_back([&, w] {
-      const std::string tag = "w" + std::to_string(w);
+      std::string tag = "w";
+      tag += std::to_string(w);
       obs::trace_set_thread_track(tag);
       set_log_thread_tag(tag);
       try {

@@ -53,30 +53,34 @@ ClauseRef Propagator::propagate(Trail& trail, ClauseArena& arena,
                                 SolverStats& stats) {
   // Counters stay in registers for the whole fixpoint; one flush at exit.
   std::uint64_t props = 0, bin_props = 0, skips = 0;
-  ClauseRef result = kClauseRefUndef;
-  while (!trail.fully_propagated()) {
+  ClauseRef confl = kClauseRefUndef;
+  while (confl == kClauseRefUndef && !trail.fully_propagated()) {
     const Lit p = trail.dequeue();
+    const Lit not_p = ~p;
     ++props;
-    auto& wl = watches_[static_cast<std::size_t>(p.index())];
-    std::size_t i = 0, j = 0;
-    const std::size_t n = wl.size();
-    ClauseRef confl = kClauseRefUndef;
-    while (i < n) {
-      const Watcher w = wl[i++];
+    // Read (i) and write (j) cursors over the watchers of ~p: kept
+    // entries are compacted down to j, moved ones go to their new
+    // literal's list.  That list is never this one (a replacement is
+    // never ~p: clauses hold no duplicate literals), so the cursors stay
+    // valid across the push.
+    std::vector<Watcher>& wl = watches_[static_cast<std::size_t>(p.index())];
+    Watcher* i = wl.data();
+    Watcher* j = i;
+    Watcher* const end = i + wl.size();
+    while (i != end) {
+      const Watcher w = *i++;
       const lbool bval = trail.value(w.blocker);
       if (bval == l_True) {
-        wl[j++] = w;
+        *j++ = w;
         if (!w.binary()) ++skips;
         continue;
       }
       if (w.binary()) {
         // The watcher is the whole clause: unit or conflicting, and the
         // arena is never touched.
-        wl[j++] = w;
+        *j++ = w;
         if (bval == l_False) {
           confl = w.cref();
-          trail.flush_queue();
-          while (i < n) wl[j++] = wl[i++];
           break;
         }
         trail.assign(w.blocker, w.cref());
@@ -85,45 +89,40 @@ ClauseRef Propagator::propagate(Trail& trail, ClauseArena& arena,
       }
       Clause c = arena.get(w.cref());
       // Ensure the false literal (~p) is at position 1.
-      const Lit not_p = ~p;
       if (c[0] == not_p) c.swap_lits(0, 1);
       REFBMC_ASSERT(c[1] == not_p);
       const Lit first = c[0];
       if (first != w.blocker && trail.value(first) == l_True) {
-        wl[j++] = Watcher{w.tagged, first};
+        *j++ = Watcher{w.tagged, first};
         continue;
       }
-      // Look for a replacement watch.
-      bool found = false;
-      for (std::uint32_t k = 2; k < c.size(); ++k) {
-        if (trail.value(c[k]) != l_False) {
-          c.swap_lits(1, k);
-          push_watcher(list(c[1]), Watcher{w.tagged, first});
-          found = true;
-          break;
-        }
+      // Look for a replacement watch: the first literal not false.
+      const std::uint32_t size = c.size();
+      std::uint32_t k = 2;
+      while (k < size && trail.value(c[k]) == l_False) ++k;
+      if (k < size) {
+        c.swap_lits(1, k);
+        push_watcher(list(c[1]), Watcher{w.tagged, first});
+        continue;
       }
-      if (found) continue;
       // Clause is unit or conflicting.
-      wl[j++] = Watcher{w.tagged, first};
+      *j++ = Watcher{w.tagged, first};
       if (trail.value(first) == l_False) {
         confl = w.cref();
-        trail.flush_queue();
-        while (i < n) wl[j++] = wl[i++];
         break;
       }
       trail.assign(first, w.cref());
     }
-    wl.resize(j);
     if (confl != kClauseRefUndef) {
-      result = confl;
-      break;
+      trail.flush_queue();
+      while (i != end) *j++ = *i++;
     }
+    wl.resize(static_cast<std::size_t>(j - wl.data()));
   }
   stats.propagations += props;
   stats.binary_propagations += bin_props;
   stats.blocker_skips += skips;
-  return result;
+  return confl;
 }
 
 void Propagator::relocate(

@@ -145,10 +145,11 @@ void Solver::collect_reason_closure(Var v, std::vector<ClauseId>& antecedents) {
   if (seen_closure_[static_cast<std::size_t>(v)]) return;
   seen_closure_[static_cast<std::size_t>(v)] = 1;
   closure_clear_.push_back(v);
-  std::vector<Var> work{v};
-  while (!work.empty()) {
-    const Var u = work.back();
-    work.pop_back();
+  closure_stack_.clear();
+  closure_stack_.push_back(v);
+  while (!closure_stack_.empty()) {
+    const Var u = closure_stack_.back();
+    closure_stack_.pop_back();
     const ClauseRef r = trail_.reason(u);
     if (r == kClauseRefUndef) continue;  // decision or assumption
     const Clause c = db_.get(r);
@@ -158,7 +159,7 @@ void Solver::collect_reason_closure(Var v, std::vector<ClauseId>& antecedents) {
       if (w == u || seen_closure_[static_cast<std::size_t>(w)]) continue;
       seen_closure_[static_cast<std::size_t>(w)] = 1;
       closure_clear_.push_back(w);
-      work.push_back(w);
+      closure_stack_.push_back(w);
     }
   }
 }
@@ -300,14 +301,15 @@ bool Solver::lit_redundant(Lit p, std::uint32_t abstract_levels,
   // implication graph.  On success the reason clauses used become
   // antecedents of the learned clause; on failure all tentative marks and
   // antecedents are rolled back.
-  std::vector<Lit> stack{p};
+  minimize_stack_.clear();
+  minimize_stack_.push_back(p);
   const std::size_t toclear_top = analyze_toclear_.size();
   const std::size_t ants_top = antecedents.size();
   const std::size_t closure_top = closure_clear_.size();
 
-  while (!stack.empty()) {
-    const Lit q = stack.back();
-    stack.pop_back();
+  while (!minimize_stack_.empty()) {
+    const Lit q = minimize_stack_.back();
+    minimize_stack_.pop_back();
     // q is false on the trail; its var's reason asserts ~q.
     const Clause c = reason_clause(~q);
     if (config_.track_cdg) antecedents.push_back(c.id());
@@ -323,7 +325,7 @@ bool Solver::lit_redundant(Lit p, std::uint32_t abstract_levels,
           (trail_.abstract_level(l.var()) & abstract_levels) != 0) {
         seen_[v] = 1;
         analyze_toclear_.push_back(l);
-        stack.push_back(l);
+        minimize_stack_.push_back(l);
       } else {
         // Not removable: roll back tentative state.
         for (std::size_t i = toclear_top; i < analyze_toclear_.size(); ++i)
@@ -788,8 +790,8 @@ std::vector<ClauseId> Solver::unsat_core() const {
   return cdg_.original_core();
 }
 
-std::vector<Var> Solver::unsat_core_vars() const {
-  const std::vector<ClauseId> core = unsat_core();
+std::vector<Var> Solver::unsat_core_vars(
+    const std::vector<ClauseId>& core) const {
   std::vector<bool> in(static_cast<std::size_t>(num_vars()), false);
   for (const ClauseId id : core)
     for (const Lit l : original_clause(id))

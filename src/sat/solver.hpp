@@ -268,7 +268,13 @@ class Solver {
   /// assumptions, the core is relative to them: core ∧ assumptions ⊨ ⊥.
   std::vector<ClauseId> unsat_core() const;
   /// Variables occurring in the unsat core, sorted ascending.
-  std::vector<Var> unsat_core_vars() const;
+  std::vector<Var> unsat_core_vars() const {
+    return unsat_core_vars(unsat_core());
+  }
+  /// Variables occurring in `core` (original-clause ids, as unsat_core()
+  /// returns them), sorted ascending: a caller already holding the core
+  /// skips a second dependency-graph walk.
+  std::vector<Var> unsat_core_vars(const std::vector<ClauseId>& core) const;
   /// The assumptions of the most recent solve() call (empty for a plain
   /// solve) — needed to certify assumption-relative cores.
   const std::vector<Lit>& last_assumptions() const {
@@ -374,11 +380,13 @@ class Solver {
   std::vector<Lit> assumptions_;       // active during a solve() call
   std::vector<Lit> last_assumptions_;  // assumptions of the latest solve
 
-  // analysis scratch
+  // analysis scratch, reused across conflicts (no per-call allocation)
   std::vector<char> seen_;
   std::vector<Lit> analyze_toclear_;
-  std::vector<char> seen_closure_;  // reason-closure marks
+  std::vector<Lit> minimize_stack_;  // lit_redundant work list
+  std::vector<char> seen_closure_;   // reason-closure marks
   std::vector<Var> closure_clear_;
+  std::vector<Var> closure_stack_;   // collect_reason_closure work list
 
   std::vector<lbool> model_;
   std::vector<Lit> import_buf_;              // import root-simplify scratch

@@ -16,10 +16,18 @@ ClauseRef relocate_ref(
   return it->second;
 }
 
+std::vector<lbool> Trail::assignments() const {
+  std::vector<lbool> model(level_.size());
+  for (std::size_t v = 0; v < model.size(); ++v)
+    model[v] = value(static_cast<Var>(v));
+  return model;
+}
+
 void Trail::relocate_reasons(
     const std::vector<std::pair<ClauseRef, ClauseRef>>& map) {
   for (std::size_t v = 0; v < reason_.size(); ++v) {
-    if (reason_[v] != kClauseRefUndef && assigns_[v] != l_Undef)
+    if (reason_[v] != kClauseRefUndef &&
+        value(static_cast<Var>(v)) != l_Undef)
       reason_[v] = relocate_ref(reason_[v], map);
     else
       reason_[v] = kClauseRefUndef;

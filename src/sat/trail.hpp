@@ -1,11 +1,15 @@
 // Trail: the assignment stack of the CDCL core.
 //
-// Owns everything per-variable that describes the current partial
-// assignment — value, decision level, reason clause — plus the assignment
-// stack itself, the decision-level frames, the propagation queue head,
-// and (optionally) saved phases.  The Propagator consumes the queue, the
-// Solver drives decisions and backtracking; neither owns assignment
-// state.
+// Owns everything that describes the current partial assignment — the
+// value of every literal, and per variable its decision level and reason
+// clause — plus the assignment stack itself, the decision-level frames,
+// the propagation queue head, and (optionally) saved phases.  The
+// Propagator consumes the queue, the Solver drives decisions and
+// backtracking; neither owns assignment state.
+//
+// Values are stored per literal (one byte at Lit::index()), so the BCP
+// hot path reads a literal's value with a single load and no sign flip;
+// assign and cancel_until keep both polarities of a variable in step.
 //
 // Backtracking (`cancel_until`) takes a callback so the owner can observe
 // every unassigned variable (the Solver re-inserts it into the
@@ -30,16 +34,19 @@ class Trail {
   // ---- variables -----------------------------------------------------
   Var new_var() {
     const Var v = num_vars();
-    assigns_.push_back(l_Undef);
+    vals_.push_back(l_Undef);  // positive literal
+    vals_.push_back(l_Undef);  // negative literal
     level_.push_back(0);
     reason_.push_back(kClauseRefUndef);
     saved_phase_.push_back(0);
     return v;
   }
-  int num_vars() const { return static_cast<int>(assigns_.size()); }
+  int num_vars() const { return static_cast<int>(level_.size()); }
 
-  lbool value(Var v) const { return assigns_[static_cast<std::size_t>(v)]; }
-  lbool value(Lit l) const { return value(l.var()) ^ l.negated(); }
+  lbool value(Var v) const { return value(Lit::make(v)); }
+  lbool value(Lit l) const {
+    return vals_[static_cast<std::size_t>(l.index())];
+  }
   int level(Var v) const { return level_[static_cast<std::size_t>(v)]; }
   ClauseRef reason(Var v) const {
     return reason_[static_cast<std::size_t>(v)];
@@ -67,7 +74,8 @@ class Trail {
   void assign(Lit l, ClauseRef reason) {
     REFBMC_ASSERT(value(l) == l_Undef);
     const auto v = static_cast<std::size_t>(l.var());
-    assigns_[v] = lbool(!l.negated());
+    vals_[static_cast<std::size_t>(l.index())] = l_True;
+    vals_[static_cast<std::size_t>((~l).index())] = l_False;
     level_[v] = decision_level();
     reason_[v] = reason;
     trail_.push_back(l);
@@ -93,11 +101,11 @@ class Trail {
     if (decision_level() <= level) return;
     const int bound = lim_[static_cast<std::size_t>(level)];
     for (int i = static_cast<int>(trail_.size()) - 1; i >= bound; --i) {
-      const auto v =
-          static_cast<std::size_t>(trail_[static_cast<std::size_t>(i)].var());
-      if (phase_saving_)
-        saved_phase_[v] = assigns_[v] == l_True ? 1 : 2;
-      assigns_[v] = l_Undef;
+      const Lit l = trail_[static_cast<std::size_t>(i)];
+      const auto v = static_cast<std::size_t>(l.var());
+      if (phase_saving_) saved_phase_[v] = l.negated() ? 2 : 1;
+      vals_[static_cast<std::size_t>(l.index())] = l_Undef;
+      vals_[static_cast<std::size_t>((~l).index())] = l_Undef;
       reason_[v] = kClauseRefUndef;
       on_unassign(static_cast<Var>(v));
     }
@@ -112,8 +120,8 @@ class Trail {
     return s == 0 ? l_Undef : s == 1 ? l_True : l_False;
   }
 
-  /// Snapshot of the assignment vector (the model, when complete).
-  const std::vector<lbool>& assignments() const { return assigns_; }
+  /// Per-variable copy of the assignment (the model, when complete).
+  std::vector<lbool> assignments() const;
 
   /// Patches every reason reference through an arena relocation map
   /// (sorted by old ref); reasons of unassigned variables are dropped.
@@ -122,7 +130,7 @@ class Trail {
 
  private:
   bool phase_saving_;
-  std::vector<lbool> assigns_;     // per var
+  std::vector<lbool> vals_;        // per Lit::index()
   std::vector<int> level_;         // per var
   std::vector<ClauseRef> reason_;  // per var
   std::vector<char> saved_phase_;  // per var: 0 none, 1 true, 2 false

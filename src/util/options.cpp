@@ -22,11 +22,9 @@ Options Options::parse(int argc, const char* const* argv) {
     }
     // `--name value` unless the next token is another option or absent,
     // in which case it is a boolean flag.
-    if (i + 1 < argc && std::string(argv[i + 1]).rfind("--", 0) != 0) {
-      opts.values_[arg] = argv[++i];
-    } else {
-      opts.values_[arg] = "1";
-    }
+    const bool has_value =
+        i + 1 < argc && std::string(argv[i + 1]).rfind("--", 0) != 0;
+    opts.values_[arg] = has_value ? std::string(argv[++i]) : std::string("1");
   }
   return opts;
 }

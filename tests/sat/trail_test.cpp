@@ -65,12 +65,12 @@ TEST(TrailTest, FlushQueueDiscardsPending) {
 TEST(TrailTest, CancelUntilUnassignsAboveLevelMostRecentFirst) {
   Trail t;
   for (int i = 0; i < 4; ++i) t.new_var();
-  t.assign(pos(0), kClauseRefUndef);
+  t.assign(neg(0), kClauseRefUndef);
   t.new_decision_level();
   t.assign(pos(1), kClauseRefUndef);
   t.new_decision_level();
   t.assign(pos(2), kClauseRefUndef);
-  t.assign(pos(3), 8);
+  t.assign(neg(3), 8);
 
   std::vector<Var> unassigned;
   t.cancel_until(1, [&](Var v) { unassigned.push_back(v); });
@@ -81,9 +81,30 @@ TEST(TrailTest, CancelUntilUnassignsAboveLevelMostRecentFirst) {
   EXPECT_EQ(t.reason(3), kClauseRefUndef);
   EXPECT_EQ(t.value(1), l_True);  // level 1 survives
 
+  // Values live per literal: a cancel frees both slots of each cancelled
+  // variable (one assigned positive, one negative) ...
+  for (const Var v : {2, 3}) {
+    EXPECT_EQ(t.value(pos(v)), l_Undef) << v;
+    EXPECT_EQ(t.value(neg(v)), l_Undef) << v;
+  }
+  // ... and leaves both slots of each survivor in step.
+  EXPECT_EQ(t.value(neg(0)), l_True);
+  EXPECT_EQ(t.value(pos(0)), l_False);
+  EXPECT_EQ(t.value(pos(1)), l_True);
+  EXPECT_EQ(t.value(neg(1)), l_False);
+  EXPECT_EQ(t.assignments(),
+            (std::vector<lbool>{l_False, l_True, l_Undef, l_Undef}));
+
   // Cancelling at or above the current level is a no-op.
   t.cancel_until(1, [&](Var) { FAIL() << "nothing to unassign"; });
   t.cancel_until(5, [&](Var) { FAIL() << "nothing to unassign"; });
+
+  // A cancelled variable re-assigned the other way reads the new value
+  // through either literal.
+  t.assign(neg(2), kClauseRefUndef);
+  EXPECT_EQ(t.value(pos(2)), l_False);
+  EXPECT_EQ(t.value(neg(2)), l_True);
+  EXPECT_EQ(t.value(2), l_False);
 }
 
 TEST(TrailTest, CancelRewindsQueueHead) {

@@ -90,7 +90,9 @@ TEST_F(LogTest, ConcurrentLoggingKeepsLinesIntact) {
   threads.reserve(kThreads);
   for (int t = 0; t < kThreads; ++t) {
     threads.emplace_back([t] {
-      set_log_thread_tag("w" + std::to_string(t));
+      std::string tag = "w";
+      tag += std::to_string(t);
+      set_log_thread_tag(tag);
       for (int i = 0; i < kLines; ++i)
         REFBMC_INFO() << "msg " << t << ":" << i;
     });
