@@ -199,11 +199,11 @@ void BM_TapeReplay(benchmark::State& state) {
 BENCHMARK(BM_TapeReplay)->Arg(10)->Arg(20)->Arg(40);
 
 void BM_TapePreprocess(benchmark::State& state) {
-  // The once-per-depth CNF pass in front of the solver (tape scan into
-  // the workspace, simplification, cache store) on BM_TapeReplay's
-  // model.  Each iteration takes a fresh SharedTape, so the pass really
-  // runs instead of hitting the per-depth cache; encoding the frames is
-  // outside the timed region.
+  // The CNF passes in front of the solver — one per depth's delta, 0..depth
+  // (tape scan into the workspace, simplification, cache store) — on
+  // BM_TapeReplay's model.  Each iteration takes a fresh SharedTape, so
+  // the passes really run instead of hitting the per-depth cache;
+  // encoding the frames is outside the timed region.
   const auto bm = model::with_distractor(model::fifo_safe(5), 32, 1);
   const int depth = static_cast<int>(state.range(0));
   bmc::PreprocessOptions po;

@@ -357,7 +357,15 @@ int run(int argc, char** argv) {
       bmc::SharedTape tape(bm.net, 0, {}, po);
       const std::uint64_t plain_clauses = tape.mark_at(depth).clauses;
       const std::uint64_t simpl_clauses = tape.simplified_clauses_at(depth);
-      const bmc::PreprocessStats ps = tape.preprocess_stats_at(depth);
+      // The pass at the bound is every delta pass 0..depth.
+      bmc::PreprocessStats ps;
+      for (int f = 0; f <= depth; ++f) {
+        const bmc::PreprocessStats d = tape.preprocess_stats_at(f);
+        ps.vars_eliminated += d.vars_eliminated;
+        ps.clauses_subsumed += d.clauses_subsumed;
+        ps.lits_strengthened += d.lits_strengthened;
+        ps.preprocess_us += d.preprocess_us;
+      }
       // Reserve heuristic (PR 10): the same frames encoded into a bare
       // tape (geometric vector growth) vs through SharedTape's
       // netlist-derived per-frame reserve — the capacity overshoot the

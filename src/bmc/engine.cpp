@@ -274,14 +274,10 @@ BmcResult BmcEngine::run() {
         solver.stats().retired_frame_clauses - retired_seen;
     retired_seen = solver.stats().retired_frame_clauses;
     if (config_.preprocess.enabled) {
-      // The pass ran (cached) inside prepare(); pull its counters.  In a
-      // race every entrant reports the same numbers — the simplification
-      // is per-depth, race-wide, like the encode itself.  Incremental
-      // sessions report their depth's DELTA pass (cumulative state, same
-      // race-wide caching).
-      const PreprocessStats ps =
-          config_.incremental ? tape_->incremental_preprocess_stats_at(k)
-                              : tape_->preprocess_stats_at(k);
+      // Depth k's delta pass ran (cached) inside prepare(); pull its
+      // counters.  In a race every entrant reports the same numbers — the
+      // pass is per-depth, race-wide, like the encode itself.
+      const PreprocessStats ps = tape_->preprocess_stats_at(k);
       stats.vars_eliminated = ps.vars_eliminated;
       stats.clauses_subsumed = ps.clauses_subsumed;
       stats.lits_strengthened = ps.lits_strengthened;

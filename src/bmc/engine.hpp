@@ -107,13 +107,13 @@ struct EngineConfig {
   bool simplify = true;
   /// Tape-level CNF preprocessing (bounded variable elimination,
   /// pure-literal, subsumption / self-subsuming resolution — see
-  /// bmc/preprocess.hpp), run once per depth over the shared tape.
-  /// Scratch sessions replay the whole simplified formula per depth;
-  /// incremental sessions replay simplified per-depth DELTAS under a
-  /// cumulative witness stack — a future frame that re-references an
-  /// eliminated variable transparently resurrects it (see
-  /// SharedTape::replay_simplified_delta).  Off by default (and then
-  /// bit-identical to an engine without the pass).
+  /// bmc/preprocess.hpp), run once per depth over the shared tape: each
+  /// depth's DELTA is simplified under a cumulative witness stack, and
+  /// every session replays the cached deltas — a scratch session 0..k
+  /// into its fresh solver, an incremental one a depth at a time.  A
+  /// later frame whose clauses or property name an eliminated variable
+  /// transparently resurrects it (see SharedTape::replay_to).  Off by
+  /// default (and then bit-identical to an engine without the pass).
   PreprocessOptions preprocess;
   /// When non-null, this engine replays the given shared formula instead
   /// of encoding its own — the portfolio's encode-once racing.  Must
@@ -233,10 +233,9 @@ struct DepthStats {
   /// encoder removed relative to the unsimplified encoding).
   std::uint64_t simplified_vars_removed = 0;
   std::uint64_t simplified_clauses_removed = 0;
-  /// Tape preprocessing at this depth (zero with preprocess off;
-  /// incremental sessions report the per-depth DELTA pass instead of
-  /// the full-formula one; either pass runs once per depth race-wide
-  /// but its counters are reported identically to every entrant, like
+  /// Tape preprocessing of this depth's DELTA, for every session (zero
+  /// with preprocess off; the pass runs once per depth race-wide but its
+  /// counters are reported identically to every entrant, like
   /// simplify_us).  lits_strengthened counts self-subsuming resolution
   /// plus unit-propagation strips.
   std::uint64_t vars_eliminated = 0;

@@ -4,7 +4,9 @@
 // The tape pipeline simplifies at the AIG level (constprop, strashing,
 // latch aliasing), but the CNF that reaches the racing solvers is the
 // raw Tseitin encoding.  This pass simplifies the *clause* level once
-// per encoded depth, before replay into a scratch solver:
+// per encoded depth — the clauses that depth added, with every earlier
+// depth's variables frozen — before SharedTape replays the cached
+// deltas into any session's solver:
 //
 //   * unit propagation to fixpoint (root units stay in the output, so
 //     the solver sees the same level-0 facts it would have derived);

@@ -22,18 +22,12 @@ class ScratchSession final : public FormulaSession {
     origin_.clear();
     ClauseTape::Cursor cursor;
     SolverSink sink(*solver_, origin_);
-    const bool preprocessed = tape_.preprocess_options().enabled;
-    if (preprocessed) {
-      tape_.replay_simplified_to(k, cursor, sink);
-      // Round-trip guard: a fresh replay of the cached simplified
-      // stream must land the exact clause count the cache reports —
-      // remapper drift between sessions would break the shard group's
-      // "one formula, many solvers" premise silently.
-      REFBMC_ASSERT(solver_->num_original_clauses() ==
-                    tape_.simplified_clauses_at(k));
-    } else {
-      tape_.replay_to(k, cursor, sink);
-    }
+    tape_.replay_to(k, cursor, sink);
+    // Round-trip guard: a fresh replay must land the exact clause count
+    // the tape reports — remapper drift between sessions would break the
+    // shard group's "one formula, many solvers" premise silently.
+    REFBMC_ASSERT(solver_->num_original_clauses() ==
+                  tape_.simplified_clauses_at(k));
 
     const sat::Lit prop = cursor.translate(tape_.property(k));
     Prepared p;
@@ -76,7 +70,6 @@ class IncrementalSession final : public FormulaSession {
   IncrementalSession(SharedTape& tape, const sat::SolverConfig& scfg,
                      portfolio::SharedClausePool* pool, int producer)
       : tape_(tape),
-        preprocess_(tape.preprocess_options().enabled),
         savepoint_(scfg.assumption_savepoint),
         solver_(std::make_unique<sat::Solver>(scfg)) {
     if (pool != nullptr) {
@@ -96,17 +89,7 @@ class IncrementalSession final : public FormulaSession {
     if (pending_retire_.size() >= kRetireBatch) flush_retirements();
 
     SolverSink sink(*solver_, origin_);
-    if (preprocess_) {
-      // Activation-aware preprocessing: each depth's tape delta arrives
-      // simplified against everything already replayed (cumulative root
-      // facts, shared witness stack, transitive resurrection of
-      // variables a later frame re-references) — see
-      // SharedTape::replay_simplified_delta.
-      for (int f = prepared_depth_ + 1; f <= k; ++f)
-        tape_.replay_simplified_delta(f, cursor_, sink);
-    } else {
-      tape_.replay_to(k, cursor_, sink);
-    }
+    tape_.replay_to(k, cursor_, sink);
     prepared_depth_ = k;
     // Activation guards are solver-local (absent from the map), so the
     // endpoint's export filter refuses any learnt that mentions one —
@@ -181,7 +164,6 @@ class IncrementalSession final : public FormulaSession {
   }
 
   SharedTape& tape_;
-  bool preprocess_;
   bool savepoint_;
   std::unique_ptr<sat::Solver> solver_;
   std::unique_ptr<portfolio::PoolEndpoint> endpoint_;

@@ -3,7 +3,7 @@
 // parameterized by it:
 //
 //   * scratch     — a fresh solver per depth, fed by replaying the shared
-//                   tape from the start and asserting the depth-k
+//                   formula from the start and asserting the depth-k
 //                   property as a unit (the paper's Fig. 5 discipline);
 //   * incremental — one persistent solver fed tape deltas, the depth-k
 //                   property guarded by an activation literal enabled via
@@ -12,9 +12,7 @@
 //                   conclusion proposes).  Learned clauses — and, for the
 //                   refined ordering, VSIDS scores — carry over between
 //                   depths; retire(k) permanently disables a proven
-//                   depth's guard so BCP never revisits it.  With tape
-//                   preprocessing enabled the deltas arrive simplified
-//                   (SharedTape::replay_simplified_delta); with the
+//                   depth's guard so BCP never revisits it.  With the
 //                   solver's assumption savepoint enabled the session
 //                   presents a growing assumption prefix (retired guards
 //                   negated, live guard last) so successive solves reuse
@@ -24,7 +22,9 @@
 //
 // Either way the formula itself is encoded exactly once, by whichever
 // SharedTape the session was given — private to one engine, or shared
-// across a portfolio race.
+// across a portfolio race — and both sessions take it through the one
+// SharedTape::replay_to, which alone decides whether the stream is the
+// raw tape or the per-depth simplified deltas (tape preprocessing on).
 #pragma once
 
 #include <memory>

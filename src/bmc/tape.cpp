@@ -1,6 +1,7 @@
 #include "bmc/tape.hpp"
 
 #include <algorithm>
+#include <array>
 
 #include "bmc/tape_codec.hpp"
 #include "model/stats.hpp"
@@ -155,9 +156,6 @@ SharedTape::SharedTape(const model::Netlist& net, std::size_t bad_index,
 void SharedTape::recharge_locked() {
   // O(depths): every cache is a handful of flat vectors.
   std::size_t caches = inc_remap_.memory_bytes();
-  for (const SimplifiedDepth& s : simplified_)
-    caches += s.clauses.memory_bytes() + s.cold.capacity() +
-              s.remap.memory_bytes();
   for (const IncDelta& d : inc_deltas_) {
     caches += d.clauses.memory_bytes() + d.cold.capacity();
     caches += d.resurrected.capacity() * sizeof(sat::Var) +
@@ -206,7 +204,19 @@ void SharedTape::replay_to(int k, ClauseTape::Cursor& cursor,
                            ClauseSink& out) {
   const std::lock_guard<std::mutex> lock(mu_);
   ensure_locked(k);
-  tape_.replay(cursor, depth_marks_[static_cast<std::size_t>(k)], out);
+  if (!preprocess_.enabled) {
+    tape_.replay(cursor, depth_marks_[static_cast<std::size_t>(k)], out);
+    return;
+  }
+  // Each delta parks the cursor on its depth's mark, so the next delta
+  // is that of the first depth whose mark lies beyond the cursor (a
+  // fresh cursor: depth 0).  Two depths share a mark only when the later
+  // one added no events, and then its delta is empty too.
+  const auto next = std::upper_bound(
+      depth_marks_.begin(), depth_marks_.end(), cursor.op,
+      [](std::size_t op, const ClauseTape::Mark& m) { return op < m.ops; });
+  for (int f = static_cast<int>(next - depth_marks_.begin()); f <= k; ++f)
+    replay_delta_locked(f, cursor, out);
 }
 
 // Frozen set: everything whose tape variable must survive to the
@@ -235,44 +245,6 @@ void SharedTape::build_frozen_locked(int k, std::size_t num_vars,
     frozen[static_cast<std::size_t>(encoder_.property(j).var())] = 1;
     frozen[static_cast<std::size_t>(encoder_.bad(j).var())] = 1;
   }
-}
-
-void SharedTape::ensure_simplified_locked(int k) {
-  ensure_locked(k);
-  const auto idx = static_cast<std::size_t>(k);
-  if (simplified_.size() <= idx) simplified_.resize(idx + 1);
-  if (simplified_[idx].ready) return;
-
-  const ClauseTape::Mark& mark = depth_marks_[idx];
-  obs::TraceSpan span(obs::EventKind::SpanPreprocess, k);
-  const std::uint64_t t0 = obs::monotonic_now_us();
-
-  work_.input.clear();
-  tape_.append_clauses(ClauseTape::Mark{}, mark, work_.input);
-  std::vector<char> frozen(mark.vars, 0);
-  build_frozen_locked(k, mark.vars, frozen);
-
-  SimplifyResult result = TapePreprocessor(preprocess_).run(
-      static_cast<int>(mark.vars), work_.input, frozen, nullptr, work_);
-  result.stats.preprocess_us = obs::monotonic_now_us() - t0;
-  SimplifiedDepth& s = simplified_[idx];
-  s.clause_count = result.clauses.size();
-  if (cold_) {
-    // The clause list is consumed through replay only; keep it encoded
-    // and decode on demand (the remapper stays hot — model completion
-    // needs it structurally).
-    s.cold = TapeCodec::encode_clauses(result.clauses);
-    s.cold.shrink_to_fit();
-    s.is_cold = true;
-  } else {
-    s.clauses = std::move(result.clauses);
-  }
-  s.remap = std::move(result.remap);
-  s.remap.shrink_to_fit();
-  s.stats = result.stats;
-  s.ready = true;
-  span.set_value(static_cast<std::int64_t>(s.clause_count));
-  recharge_locked();
 }
 
 void SharedTape::ensure_inc_delta_locked(int f) {
@@ -315,6 +287,13 @@ void SharedTape::ensure_inc_delta_locked(int f) {
     }
   };
   for (const std::span<const sat::Lit> c : work_.input) scan_clause(c);
+  // The depth's own property and bad literals are translated by
+  // consumers directly, and latch aliasing or cross-frame strashing can
+  // make them gate variables of an earlier depth that no delta clause
+  // names (bad = latch whose next state is an AND: property(f) is gate
+  // f-1) — they come back exactly as a delta reference would.
+  const std::array<sat::Lit, 2> named{encoder_.property(f), encoder_.bad(f)};
+  scan_clause(named);
   std::vector<sat::Lit> copy;
   for (std::size_t i = 0; i < kit.size(); ++i) {
     copy.assign(kit[i].begin(), kit[i].end());  // kit may grow
@@ -326,10 +305,11 @@ void SharedTape::ensure_inc_delta_locked(int f) {
     work_.input.append(kit, 0, kit.size());
   }
 
-  // Frozen: the scratch recipe for the new variables, plus EVERY
-  // variable of earlier depths — cross-depth identity is what makes
-  // the persistent solver's clauses stay meaningful, so only this
-  // delta's fresh gate variables are elimination candidates.
+  // Frozen: build_frozen_locked's set for the new variables, plus EVERY
+  // variable of earlier depths — cross-depth identity is what lets a
+  // consumer extend its formula a delta at a time (and keeps a
+  // persistent solver's clauses meaningful), so only this delta's fresh
+  // gate variables are elimination candidates.
   std::vector<char> frozen(mark.vars, 0);
   build_frozen_locked(f, mark.vars, frozen);
   for (std::size_t v = 0; v < prev.vars; ++v) frozen[v] = 1;
@@ -350,7 +330,7 @@ void SharedTape::ensure_inc_delta_locked(int f) {
       d.kept_new[v - prev.vars] = 0;
   }
   d.stats = result.stats;
-  const std::size_t clause_count = result.clauses.size();
+  span.set_value(static_cast<std::int64_t>(result.clauses.size()));
   if (cold_) {
     d.cold = TapeCodec::encode_clauses(result.clauses);
     d.cold.shrink_to_fit();
@@ -359,13 +339,11 @@ void SharedTape::ensure_inc_delta_locked(int f) {
     d.clauses = std::move(result.clauses);
   }
   d.ready = true;
-  span.set_value(static_cast<std::int64_t>(clause_count));
   recharge_locked();
 }
 
-void SharedTape::replay_simplified_delta(int f, ClauseTape::Cursor& cursor,
-                                         ClauseSink& out) {
-  const std::lock_guard<std::mutex> lock(mu_);
+void SharedTape::replay_delta_locked(int f, ClauseTape::Cursor& cursor,
+                                     ClauseSink& out) {
   ensure_inc_delta_locked(f);
   const auto idx = static_cast<std::size_t>(f);
   const ClauseTape::Mark prev =
@@ -379,7 +357,7 @@ void SharedTape::replay_simplified_delta(int f, ClauseTape::Cursor& cursor,
 
   // Resurrected variables first (the cached delta stream references
   // them), then this delta's surviving variables in tape order —
-  // identical creation order for every incremental consumer.
+  // identical creation order for every consumer.
   for (const sat::Var v : d.resurrected) {
     auto& slot = cursor.var_map[static_cast<std::size_t>(v)];
     REFBMC_ASSERT(slot == sat::kVarUndef);
@@ -401,72 +379,36 @@ void SharedTape::replay_simplified_delta(int f, ClauseTape::Cursor& cursor,
   } else {
     for (const std::span<const sat::Lit> c : d.clauses) emit(c);
   }
-  // Park at the depth mark, exactly like the scratch simplified replay.
-  cursor.op = mark.ops;
-  cursor.lit = mark.lits;
-}
-
-void SharedTape::replay_simplified_to(int k, ClauseTape::Cursor& cursor,
-                                      ClauseSink& out) {
-  const std::lock_guard<std::mutex> lock(mu_);
-  REFBMC_EXPECTS_MSG(cursor.op == 0 && cursor.var_map.empty(),
-                     "simplified replay requires a fresh consumer");
-  ensure_simplified_locked(k);
-  const ClauseTape::Mark& mark = depth_marks_[static_cast<std::size_t>(k)];
-  const SimplifiedDepth& s = simplified_[static_cast<std::size_t>(k)];
-
-  const auto& origin = tape_.origin();
-  for (std::size_t v = 0; v < mark.vars; ++v) {
-    cursor.var_map.push_back(s.remap.is_kept(static_cast<sat::Var>(v))
-                                 ? out.add_var(origin[v])
-                                 : sat::kVarUndef);
-  }
-  std::vector<sat::Lit> clause;
-  const auto emit = [&](std::span<const sat::Lit> c) {
-    clause.clear();
-    for (const sat::Lit l : c) clause.push_back(cursor.translate(l));
-    out.add_clause(clause);
-  };
-  if (s.is_cold) {
-    TapeCodec::decode_clauses(s.cold, emit);
-  } else {
-    for (const std::span<const sat::Lit> c : s.clauses) emit(c);
-  }
-  // Park the cursor at the depth mark: translate() keeps working for
-  // property/bad/latch literals over kept (frozen) variables.
+  // Park at the depth mark: translate() keeps working for property, bad
+  // and latch literals over kept (frozen) variables, and the next
+  // replay_to finds the depth from the mark.
   cursor.op = mark.ops;
   cursor.lit = mark.lits;
 }
 
 PreprocessStats SharedTape::preprocess_stats_at(int k) {
   const std::lock_guard<std::mutex> lock(mu_);
-  ensure_simplified_locked(k);
-  return simplified_[static_cast<std::size_t>(k)].stats;
-}
-
-std::size_t SharedTape::simplified_clauses_at(int k) {
-  const std::lock_guard<std::mutex> lock(mu_);
-  ensure_simplified_locked(k);
-  return simplified_[static_cast<std::size_t>(k)].clause_count;
-}
-
-VarRemapper SharedTape::remapper_at(int k) {
-  const std::lock_guard<std::mutex> lock(mu_);
-  ensure_simplified_locked(k);
-  return simplified_[static_cast<std::size_t>(k)].remap;
-}
-
-PreprocessStats SharedTape::incremental_preprocess_stats_at(int k) {
-  const std::lock_guard<std::mutex> lock(mu_);
   ensure_inc_delta_locked(k);
   return inc_deltas_[static_cast<std::size_t>(k)].stats;
 }
 
-VarRemapper SharedTape::incremental_remapper_at(int k) {
+VarRemapper SharedTape::remapper_at(int k) {
   const std::lock_guard<std::mutex> lock(mu_);
   ensure_inc_delta_locked(k);
   return inc_remap_.as_of(
       k, static_cast<int>(depth_marks_[static_cast<std::size_t>(k)].vars));
+}
+
+std::size_t SharedTape::simplified_clauses_at(int k) {
+  const std::lock_guard<std::mutex> lock(mu_);
+  ensure_locked(k);
+  if (!preprocess_.enabled)
+    return depth_marks_[static_cast<std::size_t>(k)].clauses;
+  ensure_inc_delta_locked(k);
+  std::size_t n = 0;
+  for (int f = 0; f <= k; ++f)
+    n += inc_deltas_[static_cast<std::size_t>(f)].stats.clauses_out;
+  return n;
 }
 
 sat::Lit SharedTape::property(int k) {

@@ -19,19 +19,21 @@
 // the raw vectors — indices stay absolute, every reader goes through
 // scan(), and late joiners decode transparently.  SharedTape's
 // set_cold_storage(true) freezes each depth's prefix as the next one is
-// encoded and keeps the consumed SimplifiedDepth/IncDelta caches
-// encoded too.  Representation-only: verdicts, counters and replay
-// streams are bit-identical with the mode off or on.
+// encoded and keeps the consumed per-depth delta caches encoded too.
+// Representation-only: verdicts, counters and replay streams are
+// bit-identical with the mode off or on.
 //
 // Preprocessing (preprocess.hpp) runs under the same mutex in one
-// PreprocessWorkspace the tape owns: each pass scans its tape range
-// straight into the workspace, and the arena, occurrence lists and
-// buffers keep their capacity from depth to depth and across racing
-// entrants.  The per-depth caches are flat ClauseLists plus, per
-// scratch depth, its VarRemapper; incremental sessions share one
-// cumulative witness stack whose entries carry the depth that
+// PreprocessWorkspace the tape owns, once per depth: each depth's delta
+// (the clauses frame k added on top of frame k-1) is simplified against
+// everything before it, and every consumer — a fresh scratch solver or
+// a persistent incremental one — reaches depth k by replaying the cached
+// deltas 0..k.  Each pass scans its tape range straight into the
+// workspace, and the arena, occurrence lists and buffers keep their
+// capacity from depth to depth and across racing entrants.  The deltas
+// share one cumulative witness stack whose entries carry the depth that
 // eliminated (and resurrected) them, so the view as of any depth is
-// rebuilt on demand.  Every cache's flat storage, witness stacks
+// rebuilt on demand.  Every cache's flat storage, the witness stack
 // included, is charged to the MemTracker.
 #pragma once
 
@@ -188,57 +190,29 @@ class SharedTape {
   /// frames_encoded() counter advances at most once per depth, ever.
   void ensure_depth(int k);
 
-  /// Replays everything up to depth k's mark (ensuring it first) into
-  /// `out`, advancing `cursor`.  Thread-safe.
+  /// Moves `cursor` from the depth it is parked at (a fresh cursor is
+  /// parked at no depth) up to depth k, ensuring k first, and replays
+  /// into `out` what lies between: the raw tape with preprocessing off,
+  /// else each intermediate depth's cached simplified delta.  Every
+  /// consumer reaches the same formula through this one call, whether
+  /// it takes depth k in one step (a fresh scratch solver) or a depth at
+  /// a time (an incremental solver).  Thread-safe.
   void replay_to(int k, ClauseTape::Cursor& cursor, ClauseSink& out);
 
-  /// Replays the PREPROCESSED formula of depth k into a fresh consumer
-  /// (the cursor must not have replayed anything yet: the simplified
-  /// stream is per-depth, not incremental).  Kept tape variables are
-  /// created in tape order so their sink numbering matches a plain
-  /// replay's relative order; eliminated variables occupy a
-  /// sat::kVarUndef slot in the var_map and never reach the sink.  The
-  /// simplification runs (and is cached) once per depth, race-wide.
-  /// Thread-safe.
-  void replay_simplified_to(int k, ClauseTape::Cursor& cursor,
-                            ClauseSink& out);
-
-  /// Replays the PREPROCESSED DELTA of depth f — the clauses frame f
-  /// added on top of frame f-1, simplified against everything already
-  /// replayed — into an incremental consumer whose cursor is parked at
-  /// depth f-1's mark (or fresh, for f = 0).  Unlike
-  /// replay_simplified_to, the simplification state is cumulative: root
-  /// facts from earlier deltas seed the pass, the VarRemapper witness
-  /// stack is shared across depths, and a delta that references a
-  /// variable eliminated at an earlier depth transparently RESURRECTS
-  /// it (the variable is re-created in the sink and its removed-clause
-  /// kit is re-emitted before the delta, restoring every deleted
-  /// constraint).  Deltas are computed (and cached) once per depth,
-  /// race-wide, so every incremental consumer sees the identical
-  /// stream.  Thread-safe.
-  void replay_simplified_delta(int f, ClauseTape::Cursor& cursor,
-                               ClauseSink& out);
-
-  /// Preprocessing counters for depth k (runs the cached pass first).
+  /// Preprocessing counters of depth k's delta pass (runs the cached
+  /// passes up to k first).
   PreprocessStats preprocess_stats_at(int k);
-  /// Preprocessing counters for depth k's incremental DELTA (runs the
-  /// cached delta passes up to k first).
-  PreprocessStats incremental_preprocess_stats_at(int k);
-  /// The cumulative incremental remapper as of depth k's delta (witness
-  /// stack for model completion across depths): exactly the elimination
-  /// state a consumer that replayed deltas 0..k is solving under, even
-  /// when a faster consumer has already advanced the cumulative state
-  /// past k.  Built on demand from the cumulative stack (entries live at
-  /// depth k, in elimination order); returned by value.
-  VarRemapper incremental_remapper_at(int k);
-  /// Clause count of the simplified formula at depth k — what a
-  /// preprocessed scratch consumer's solver must end up holding (the
-  /// session asserts the round trip).
-  std::size_t simplified_clauses_at(int k);
-  /// The remapper of depth k (witness stack for model completion).
-  /// Returned by value: the per-depth cache may reallocate as deeper
-  /// frames are simplified.
+  /// The cumulative remapper as of depth k's delta (witness stack for
+  /// model completion across depths): exactly the elimination state a
+  /// consumer that replayed to depth k is solving under, even when a
+  /// faster consumer has already advanced the cumulative state past k.
+  /// Built on demand from the cumulative stack (entries live at depth k,
+  /// in elimination order); returned by value.
   VarRemapper remapper_at(int k);
+  /// The clause count a fresh consumer holds after replay_to(k): the
+  /// tape's own count with preprocessing off, else the sum of the delta
+  /// counts for 0..k (the scratch session asserts the round trip).
+  std::size_t simplified_clauses_at(int k);
 
   // Tape-space literals (ensure_depth is implied); translate through a
   // replay cursor before handing them to a sink's solver.
@@ -246,7 +220,8 @@ class SharedTape {
   sat::Lit bad(int frame);
   std::vector<sat::Lit> latch_lits(int frame);
 
-  /// Formula size at depth k's mark (what a scratch consumer sees).
+  /// The raw tape's size at depth k's mark (simplified_clauses_at gives
+  /// what a consumer's solver holds).
   ClauseTape::Mark mark_at(int k);
 
   std::uint64_t frames_encoded() const;
@@ -258,10 +233,10 @@ class SharedTape {
   // ---- space accounting -----------------------------------------------
   /// Cold storage: when on, each depth's event prefix is frozen (codec-
   /// encoded, raw words dropped) as the next depth is encoded, and the
-  /// consumed SimplifiedDepth/IncDelta caches are kept encoded too,
-  /// decoding on replay.  Representation-only — replay streams are
-  /// bit-identical either way — so it is excluded from
-  /// api::config_fingerprint.  Applies to depths encoded after the call.
+  /// consumed IncDelta caches are kept encoded too, decoding on replay.
+  /// Representation-only — replay streams are bit-identical either way —
+  /// so it is excluded from api::config_fingerprint.  Applies to depths
+  /// encoded after the call.
   void set_cold_storage(bool on);
   bool cold_storage() const;
 
@@ -278,31 +253,33 @@ class SharedTape {
 
  private:
   void ensure_locked(int k);
-  void ensure_simplified_locked(int k);
   void ensure_inc_delta_locked(int f);
+  /// Replays depth f's cached simplified delta — the clauses frame f
+  /// added on top of frame f-1, simplified against everything already
+  /// replayed — into a consumer whose cursor is parked at depth f-1's
+  /// mark (or fresh, for f = 0).  The simplification state is
+  /// cumulative: root facts from earlier deltas seed the pass, the
+  /// VarRemapper witness stack is shared across depths, and a delta that
+  /// references a variable eliminated at an earlier depth, or whose
+  /// property or bad literal names one, transparently RESURRECTS it
+  /// (the variable is re-created in the sink and its removed-clause kit
+  /// is re-emitted before the delta, restoring every deleted
+  /// constraint).  Deltas are computed (and cached) once per
+  /// depth, race-wide, so every consumer sees the identical stream.
+  void replay_delta_locked(int f, ClauseTape::Cursor& cursor,
+                           ClauseSink& out);
   void build_frozen_locked(int k, std::size_t num_vars,
                            std::vector<char>& frozen) const;
   void recharge_locked();
 
-  /// One depth's cached simplification (clauses + remapper + stats).
-  /// Under cold storage the clause list is kept codec-encoded.
-  struct SimplifiedDepth {
-    bool ready = false;
-    ClauseList clauses;
-    std::size_t clause_count = 0;
-    std::vector<std::uint8_t> cold;  // encoded `clauses` (cold mode)
-    bool is_cold = false;
-    VarRemapper remap;
-    PreprocessStats stats;
-  };
-
-  /// One depth's cached incremental delta: the variables resurrected
-  /// for it, which of its new variables survived, and the simplified
-  /// delta clauses (kit clauses included), all in tape space.
-  /// Consumers replay deltas strictly in depth order, so caching makes
-  /// the stream identical race-wide.  The remapper a consumer at depth
-  /// k completes models with is inc_remap_.as_of(k), immune to faster
-  /// consumers advancing the cumulative state past k.
+  /// One depth's cached delta: the variables resurrected for it, which
+  /// of its new variables survived, and the simplified delta clauses
+  /// (kit clauses included), all in tape space.  Consumers replay deltas
+  /// strictly in depth order, so caching makes the stream identical
+  /// race-wide.  The remapper a consumer at depth k completes models
+  /// with is inc_remap_.as_of(k), immune to faster consumers advancing
+  /// the cumulative state past k.  stats.clauses_out is the list's size,
+  /// also under cold storage, where the list is kept codec-encoded.
   struct IncDelta {
     bool ready = false;
     std::vector<sat::Var> resurrected;  // sink creation order
@@ -322,9 +299,8 @@ class SharedTape {
   FrameEncoder encoder_;
   std::vector<ClauseTape::Mark> depth_marks_;  // per encoded depth
   std::vector<EncodeStats> depth_stats_;       // cumulative per depth
-  std::vector<SimplifiedDepth> simplified_;    // per depth, lazy
-  // Cumulative incremental preprocessing state (delta mode): witness
-  // stack shared across depths + root facts carried forward.
+  // Cumulative preprocessing state: witness stack shared across depths
+  // + root facts carried forward.
   std::vector<IncDelta> inc_deltas_;           // per depth, lazy
   VarRemapper inc_remap_{0};
   std::vector<sat::lbool> inc_assigned_;       // per tape var

@@ -21,9 +21,9 @@
 //
 // Layering: ClauseTape uses the low-level Writer/for_each to freeze
 // already-replayed prefixes (tape.hpp, cold storage); SharedTape uses
-// encode_clauses/decode_clauses for its consumed SimplifiedDepth /
-// IncDelta caches; TapeCodec::encode/decode is the public range API and
-// the future on-wire format.
+// encode_clauses/decode_clauses for its consumed per-depth delta
+// caches; TapeCodec::encode/decode is the public range API and the
+// future on-wire format.
 #pragma once
 
 #include <cstdint>

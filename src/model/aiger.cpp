@@ -1,5 +1,7 @@
 #include "model/aiger.hpp"
 
+#include <climits>
+#include <cstdint>
 #include <fstream>
 #include <functional>
 #include <iterator>
@@ -18,6 +20,11 @@ struct AigerAnd {
 [[noreturn]] void fail(const std::string& msg) {
   throw std::invalid_argument("aiger: " + msg);
 }
+
+/// The largest variable a 32-bit literal (2 * var + sign) can name.  A
+/// header's M above it would wrap the parser's `m + 1` tables and
+/// literal arithmetic, so it is rejected up front.
+constexpr unsigned kMaxVar = (UINT_MAX - 1) / 2;
 
 }  // namespace
 
@@ -86,7 +93,9 @@ Netlist read_aiger_ascii(std::istream& in) {
   unsigned extra = 0;
   if (hs >> extra && extra != 0)
     fail("C/J/F sections are not supported");
-  if (m < i + l + a) fail("M smaller than I+L+A");
+  if (m > kMaxVar) fail("M exceeds the largest 32-bit literal's variable");
+  // In 64 bits: counts near UINT_MAX must not wrap past the check.
+  if (m < std::uint64_t{i} + l + a) fail("M smaller than I+L+A");
 
   std::vector<unsigned> input_lits(i);
   struct LatchLine {
@@ -344,7 +353,8 @@ Netlist read_aiger_binary_buffer(const std::string& buf) {
   if (!(hs >> b)) b = 0;
   unsigned extra = 0;
   if (hs >> extra && extra != 0) fail("C/J/F sections are not supported");
-  if (m != i + l + a)
+  if (m > kMaxVar) fail("M exceeds the largest 32-bit literal's variable");
+  if (m != std::uint64_t{i} + l + a)
     fail("binary format requires M == I + L + A exactly");
 
   // Build directly: the binary format fixes the numbering — inputs are

@@ -184,18 +184,21 @@ TEST(IncrementalPreprocessTest, WitnessRecompletesAcrossDepthDeltas) {
   popt.enabled = true;
   SharedTape tape(bm.net, 0, {}, popt);
 
+  // The unsimplified formula comes from a plain tape of the same netlist
+  // (encoding is deterministic, so the tape variables are the same).
+  SharedTape plain(bm.net, 0, {});
   ClauseTape::Cursor id_cursor;
   CollectSink original;
-  tape.replay_to(k, id_cursor, original);
+  plain.replay_to(k, id_cursor, original);
 
   // Simplified consumer: replay the per-depth deltas 0..k.
   sat::Solver solver;
   std::vector<VarOrigin> origin;
   SolverSink sink(solver, origin);
   ClauseTape::Cursor cursor;
-  for (int f = 0; f <= k; ++f) tape.replay_simplified_delta(f, cursor, sink);
+  tape.replay_to(k, cursor, sink);
 
-  const VarRemapper remap = tape.incremental_remapper_at(k);
+  const VarRemapper remap = tape.remapper_at(k);
   ASSERT_GT(remap.num_eliminated(), 0u);  // the test must not be vacuous
   ASSERT_EQ(solver.solve({cursor.translate(tape.property(k))}),
             sat::Result::Sat);
@@ -204,7 +207,7 @@ TEST(IncrementalPreprocessTest, WitnessRecompletesAcrossDepthDeltas) {
 
 TEST(IncrementalPreprocessTest, RemapperAsOfDepthIgnoresFasterConsumers) {
   // There is one cumulative witness stack and no per-depth snapshot:
-  // incremental_remapper_at(k) rebuilds depth k's view on demand.  Once
+  // remapper_at(k) rebuilds depth k's view on demand.  Once
   // a fast consumer has replayed deltas up to k+3 — resurrecting
   // variables that were eliminated at depth <= k — the view at k must
   // still equal, witness for witness, the view of a tape whose deltas
@@ -220,10 +223,9 @@ TEST(IncrementalPreprocessTest, RemapperAsOfDepthIgnoresFasterConsumers) {
   {
     CollectSink sink;
     ClauseTape::Cursor cursor;
-    for (int f = 0; f <= k + 3; ++f)
-      fast.replay_simplified_delta(f, cursor, sink);
+    fast.replay_to(k + 3, cursor, sink);
   }
-  const VarRemapper late = fast.incremental_remapper_at(k);
+  const VarRemapper late = fast.remapper_at(k);
 
   // Reference: a tape whose deltas stopped at k, with a solver consumer.
   SharedTape slow(bm.net, 0, {}, popt);
@@ -231,12 +233,12 @@ TEST(IncrementalPreprocessTest, RemapperAsOfDepthIgnoresFasterConsumers) {
   std::vector<VarOrigin> origin;
   SolverSink sink(solver, origin);
   ClauseTape::Cursor cursor;
-  for (int f = 0; f <= k; ++f) slow.replay_simplified_delta(f, cursor, sink);
-  const VarRemapper stopped = slow.incremental_remapper_at(k);
+  slow.replay_to(k, cursor, sink);
+  const VarRemapper stopped = slow.remapper_at(k);
 
   // The deltas after k really did resurrect some of depth k's
   // eliminations, so the cumulative stack has moved on.
-  const VarRemapper ahead = fast.incremental_remapper_at(k + 3);
+  const VarRemapper ahead = fast.remapper_at(k + 3);
   std::size_t resurrected = 0;
   for (const VarRemapper::Witness& w : stopped.witnesses())
     resurrected += ahead.is_kept(w.lit.var()) ? 1 : 0;
@@ -270,7 +272,7 @@ TEST(IncrementalPreprocessTest, RemapperAsOfDepthIgnoresFasterConsumers) {
   // view to a model of the original depth-k formula.
   CollectSink original;
   ClauseTape::Cursor id_cursor;
-  slow.replay_to(k, id_cursor, original);
+  SharedTape(bm.net, 0, {}).replay_to(k, id_cursor, original);
   ASSERT_EQ(solver.solve(), sat::Result::Sat);
   EXPECT_TRUE(completes_original(late, solver, cursor, original.clauses));
 }

@@ -13,6 +13,7 @@
 
 #include "bmc/engine.hpp"
 #include "bmc/tape.hpp"
+#include "model/aiger.hpp"
 #include "model/benchgen.hpp"
 #include "sat/solver.hpp"
 
@@ -190,6 +191,19 @@ TEST(PreprocessTest, WitnessCompletionExtendsAnySimplifiedModel) {
 
 // ---- SharedTape integration ----------------------------------------------
 
+/// Feeds a solver and records the clause stream, in sink space.
+struct RecordingSolverSink final : public ClauseSink {
+  sat::Solver solver;
+  std::vector<VarOrigin> origin;
+  SolverSink inner{solver, origin};
+  std::vector<std::vector<sat::Lit>> clauses;
+  sat::Var add_var(const VarOrigin& o) override { return inner.add_var(o); }
+  void add_clause(std::span<const sat::Lit> lits) override {
+    clauses.emplace_back(lits.begin(), lits.end());
+    inner.add_clause(lits);
+  }
+};
+
 TEST(PreprocessTapeTest, SimplifiedReplayShrinksAndIsDeterministic) {
   const auto bm = model::fifo_safe(3);
   PreprocessOptions po;
@@ -200,25 +214,31 @@ TEST(PreprocessTapeTest, SimplifiedReplayShrinksAndIsDeterministic) {
   const std::size_t plain = tape.mark_at(k).clauses;
   const std::size_t simplified = tape.simplified_clauses_at(k);
   EXPECT_LT(simplified, plain);
-  // The pass is cached: asking again returns the same formula.
+  // The passes are cached: asking again returns the same formula.
   EXPECT_EQ(tape.simplified_clauses_at(k), simplified);
-  const PreprocessStats ps = tape.preprocess_stats_at(k);
-  EXPECT_GT(ps.vars_eliminated, 0u);
-  EXPECT_EQ(ps.clauses_out, simplified);
+  // A consumer at depth k holds every delta 0..k.
+  std::uint64_t eliminated = 0, clauses_out = 0;
+  for (int f = 0; f <= k; ++f) {
+    const PreprocessStats ps = tape.preprocess_stats_at(f);
+    eliminated += ps.vars_eliminated;
+    clauses_out += ps.clauses_out;
+  }
+  EXPECT_GT(eliminated, 0u);
+  EXPECT_EQ(clauses_out, simplified);
 
   // Two fresh consumers replay identical streams: same var_map, same
   // solver shape — the shard-group "one formula, many solvers" premise.
-  sat::Solver s1, s2;
-  std::vector<VarOrigin> o1, o2;
-  SolverSink sink1(s1, o1), sink2(s2, o2);
+  RecordingSolverSink sink1, sink2;
   ClauseTape::Cursor c1, c2;
-  tape.replay_simplified_to(k, c1, sink1);
-  tape.replay_simplified_to(k, c2, sink2);
+  tape.replay_to(k, c1, sink1);
+  tape.replay_to(k, c2, sink2);
   EXPECT_EQ(c1.var_map, c2.var_map);
-  EXPECT_EQ(s1.num_original_clauses(), s2.num_original_clauses());
+  EXPECT_EQ(sink1.solver.num_original_clauses(),
+            sink2.solver.num_original_clauses());
+  EXPECT_EQ(sink1.clauses, sink2.clauses);
   // Round-trip guard: the replayed clause count is exactly what the
-  // cache reports (the scratch session asserts the same invariant).
-  EXPECT_EQ(s1.num_original_clauses(), simplified);
+  // tape reports (the scratch session asserts the same invariant).
+  EXPECT_EQ(sink1.solver.num_original_clauses(), simplified);
 
   // Eliminated variables occupy kVarUndef slots; kept ones translate.
   const VarRemapper remap = tape.remapper_at(k);
@@ -232,6 +252,23 @@ TEST(PreprocessTapeTest, SimplifiedReplayShrinksAndIsDeterministic) {
   EXPECT_EQ(undef_slots, remap.num_eliminated());
   // The property literal rides a frozen variable and must translate.
   EXPECT_NE(c1.translate(tape.property(k)).var(), sat::kVarUndef);
+
+  // A consumer that advances a depth at a time (an incremental solver)
+  // reaches, at every depth, what a fresh consumer of that depth holds.
+  RecordingSolverSink stepped;
+  ClauseTape::Cursor cs;
+  for (int f = 0; f <= k; ++f) {
+    tape.replay_to(f, cs, stepped);
+    RecordingSolverSink fresh;
+    ClauseTape::Cursor cf;
+    tape.replay_to(f, cf, fresh);
+    EXPECT_EQ(cs.var_map, cf.var_map) << "depth " << f;
+    EXPECT_EQ(stepped.clauses, fresh.clauses) << "depth " << f;
+    EXPECT_EQ(stepped.solver.num_original_clauses(),
+              tape.simplified_clauses_at(f))
+        << "depth " << f;
+  }
+  EXPECT_EQ(cs.var_map, c1.var_map);
 }
 
 TEST(PreprocessTapeTest, SimplifiedFormulaKeepsVerdicts) {
@@ -249,7 +286,7 @@ TEST(PreprocessTapeTest, SimplifiedFormulaKeepsVerdicts) {
     SolverSink sink1(plain_solver, po1), sink2(prep_solver, po2);
     ClauseTape::Cursor c1, c2;
     plain_tape.replay_to(k, c1, sink1);
-    prep_tape.replay_simplified_to(k, c2, sink2);
+    prep_tape.replay_to(k, c2, sink2);
     plain_solver.add_clause({c1.translate(plain_tape.property(k))});
     prep_solver.add_clause({c2.translate(prep_tape.property(k))});
     EXPECT_EQ(plain_solver.solve(), prep_solver.solve()) << "depth " << k;
@@ -265,11 +302,12 @@ struct Verdict {
 };
 
 Verdict run_engine(const model::Benchmark& bm, bool simplify,
-                   bool preprocess, int max_depth) {
+                   bool preprocess, int max_depth, bool incremental = false) {
   EngineConfig cfg;
   cfg.policy = OrderingPolicy::Dynamic;
   cfg.max_depth = max_depth;
   cfg.simplify = simplify;
+  cfg.incremental = incremental;
   cfg.preprocess.enabled = preprocess;
   if (preprocess) cfg.solver.inprocess.vivify_interval = 2;
   cfg.validate_counterexamples = true;  // asserts replay on the simulator
@@ -283,21 +321,38 @@ Verdict run_engine(const model::Benchmark& bm, bool simplify,
   return v;
 }
 
+// The bad signal is a latch whose next state is the AND of two inputs,
+// so with latch aliasing property(k) is the frame-(k-1) gate: no clause
+// of depth k's delta names it, and depth k-1's delta pass, which does
+// not freeze it, eliminates it (every resolvent is a tautology).
+model::Benchmark latch_bad() {
+  model::Benchmark bm;
+  bm.name = "latch_bad";
+  bm.net = model::read_aiger_string("aag 4 2 1 0 1 1\n2\n4\n6 8\n6\n8 2 4\n");
+  return bm;
+}
+
 TEST(PreprocessEngineTest, VerdictsAgreeAcrossSimplifyPreprocessMatrix) {
   const model::Benchmark models[] = {model::counter_reach(4, 9, true),
-                                     model::fifo_safe(3)};
+                                     model::fifo_safe(3), latch_bad()};
   const int max_depth = 10;
   for (const auto& bm : models) {
     const Verdict base = run_engine(bm, true, false, max_depth);
-    for (const bool simplify : {false, true}) {
-      for (const bool preprocess : {false, true}) {
-        const Verdict v = run_engine(bm, simplify, preprocess, max_depth);
-        EXPECT_EQ(v.status, base.status) << bm.name;
-        EXPECT_EQ(v.cex_depth, base.cex_depth) << bm.name;
-        EXPECT_EQ(v.bad_frame, base.bad_frame) << bm.name;
+    for (const bool incremental : {false, true}) {
+      for (const bool simplify : {false, true}) {
+        for (const bool preprocess : {false, true}) {
+          const Verdict v =
+              run_engine(bm, simplify, preprocess, max_depth, incremental);
+          EXPECT_EQ(v.status, base.status) << bm.name;
+          EXPECT_EQ(v.cex_depth, base.cex_depth) << bm.name;
+          EXPECT_EQ(v.bad_frame, base.bad_frame) << bm.name;
+        }
       }
     }
   }
+  const Verdict latch = run_engine(latch_bad(), true, false, max_depth);
+  EXPECT_EQ(latch.status, BmcResult::Status::CounterexampleFound);
+  EXPECT_EQ(latch.cex_depth, 1);
 }
 
 TEST(PreprocessEngineTest, PreprocessStatsFlowIntoDepthStats) {

@@ -265,6 +265,7 @@ TEST(ClauseTapeColdTest, ColdSharedTapeIsBitIdenticalToHot) {
 TEST(ClauseTapeColdTest, ColdSimplifiedAndDeltaStreamsMatchHot) {
   const auto bm = model::fifo_safe(3);
   PreprocessOptions pp;
+  pp.enabled = true;
   SharedTape hot(bm.net, 0, {}, pp);
   SharedTape cold(bm.net, 0, {}, pp);
   cold.set_cold_storage(true);
@@ -272,8 +273,8 @@ TEST(ClauseTapeColdTest, ColdSimplifiedAndDeltaStreamsMatchHot) {
   for (int k = 0; k <= 4; ++k) {
     RecordSink a, b;
     ClauseTape::Cursor ca, cb;
-    hot.replay_simplified_to(k, ca, a);
-    cold.replay_simplified_to(k, cb, b);
+    hot.replay_to(k, ca, a);
+    cold.replay_to(k, cb, b);
     EXPECT_TRUE(streams_equal(a, b)) << "simplified depth " << k;
     EXPECT_EQ(hot.simplified_clauses_at(k), cold.simplified_clauses_at(k));
   }
@@ -281,8 +282,8 @@ TEST(ClauseTapeColdTest, ColdSimplifiedAndDeltaStreamsMatchHot) {
     RecordSink a, b;
     ClauseTape::Cursor ca, cb;
     for (int f = 0; f <= 4; ++f) {
-      hot.replay_simplified_delta(f, ca, a);
-      cold.replay_simplified_delta(f, cb, b);
+      hot.replay_to(f, ca, a);
+      cold.replay_to(f, cb, b);
       EXPECT_TRUE(streams_equal(a, b)) << "delta depth " << f;
     }
   }

@@ -93,6 +93,14 @@ TEST(AigerTest, MalformedInputsRejected) {
   // Header undercounts nodes.
   EXPECT_THROW(read_aiger_string("aag 0 1 0 0 0\n2\n"),
                std::invalid_argument);
+  // Hostile headers whose 32-bit counts wrap: I+L+A wrapping to M,
+  // M + 1 wrapping to 0, and I+L+A wrapping below M.
+  EXPECT_THROW(read_aiger_string("aig 0 4294967295 1 0 0\n"),
+               std::invalid_argument);
+  EXPECT_THROW(read_aiger_string("aag 4294967295 0 0 0 0\n"),
+               std::invalid_argument);
+  EXPECT_THROW(read_aiger_string("aag 5 4294967295 1 0 0\n"),
+               std::invalid_argument);
 }
 
 TEST(AigerTest, RoundTripPreservesBehaviour) {
