@@ -266,55 +266,38 @@ def main():
         print("_no BENCH_service.json in the current run_")
         print()
 
-    # ---- memory: codec compression + arena pauses + rank demotion -------
+    # ---- memory: arena pauses + rank demotion + process peak -------------
     prev_m = load(prev_dir, "BENCH_memory.json") or {}
     cur_m = load(cur_dir, "BENCH_memory.json") or {}
     if cur_m:
         # BENCH_memory.json arrived with the space-efficiency PR; older
-        # artifacts lack it and every row prints "n/a".
+        # artifacts lack it and every row prints "n/a".  Every row is
+        # informational: microsecond pauses and sub-second walls on
+        # shared runners are too noisy to gate on.
         metrics = [
-            ("tape codec compression (raw / encoded)",
-             lambda d: (d.get("codec_totals") or {}).get("compression"),
-             True),
-            ("clauses encoded (quick suite)",
-             lambda d: (d.get("codec_totals") or {}).get("clauses"), None),
-            # Pause tails are informational: microsecond timings on shared
-            # runners are too noisy to gate on.
             ("arena chunk-alloc p99, us",
              lambda d: ((d.get("pauses") or {})
-                        .get("arena.chunk_alloc_us") or {}).get("p99_us"),
-             None),
+                        .get("arena.chunk_alloc_us") or {}).get("p99_us")),
             ("arena GC pause p99, us",
              lambda d: ((d.get("pauses") or {})
-                        .get("arena.gc_pause_us") or {}).get("p99_us"),
-             None),
+                        .get("arena.gc_pause_us") or {}).get("p99_us")),
             ("demoted-rank race wall, sec",
              lambda d: ((d.get("rank_row") or {})
-                        .get("demoted") or {}).get("wall_sec"), None),
+                        .get("demoted") or {}).get("wall_sec")),
             ("forced-rank race wall, sec",
              lambda d: ((d.get("rank_row") or {})
-                        .get("forced") or {}).get("wall_sec"), None),
+                        .get("forced") or {}).get("wall_sec")),
             ("peak RSS, kB (bench_memory process)",
-             lambda d: (d.get("process") or {}).get("vm_hwm_kb"), None),
+             lambda d: (d.get("process") or {}).get("vm_hwm_kb")),
         ]
         print("### Memory")
         print()
         print("| metric | previous | current | delta |")
         print("|---|---:|---:|---:|")
-        for label, get, higher_is_better in metrics:
+        for label, get in metrics:
             prev_v, cur_v = get(prev_m), get(cur_m)
             print(f"| {label} | {fmt(prev_v)} | {fmt(cur_v)} "
                   f"| {delta(prev_v, cur_v)} |")
-            if higher_is_better is None or prev_v is None or cur_v is None:
-                continue
-            if not prev_v:
-                continue
-            ratio = cur_v / prev_v
-            regressed = (ratio < REGRESSION_TOLERANCE if higher_is_better
-                         else ratio > 1 / REGRESSION_TOLERANCE)
-            if regressed:
-                warn(f"memory regression: {label} "
-                     f"{fmt(prev_v)} -> {fmt(cur_v)}")
         print()
     else:
         print("_no BENCH_memory.json in the current run_")

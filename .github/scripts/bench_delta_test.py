@@ -174,10 +174,8 @@ class BenchDeltaTest(unittest.TestCase):
     def test_memory_metrics_diff_and_degrade(self):
         # Current run has the full memory artifact, previous has none:
         # every cell on the previous side is "n/a"; with both present
-        # the compression ratio diffs numerically.
+        # the peak RSS diffs numerically.
         cur_memory = {
-            "codec_totals": {"clauses": 12000, "raw_bytes": 180000,
-                             "encoded_bytes": 54000, "compression": 3.33},
             "pauses": {
                 "arena.chunk_alloc_us": {"count": 40, "p99_us": 63},
                 "arena.gc_pause_us": {"count": 2, "p99_us": 1023},
@@ -194,22 +192,19 @@ class BenchDeltaTest(unittest.TestCase):
             rc, out = run_delta(prev, cur)
         self.assertEqual(rc, 0)
         self.assertIn("### Memory", out)
-        self.assertIn("| tape codec compression (raw / encoded) | n/a "
-                      "| 3.330 | n/a |", out)
+        self.assertIn("| peak RSS, kB (bench_memory process) | n/a "
+                      "| 9,600 | n/a |", out)
 
         prev_memory = dict(cur_memory)
-        prev_memory["codec_totals"] = {"clauses": 12000,
-                                       "raw_bytes": 180000,
-                                       "encoded_bytes": 60000,
-                                       "compression": 3.0}
+        prev_memory["process"] = {"vm_hwm_kb": 9000}
         with tempfile.TemporaryDirectory() as prev, \
                 tempfile.TemporaryDirectory() as cur:
             write_json(prev, "BENCH_memory.json", prev_memory)
             write_json(cur, "BENCH_memory.json", cur_memory)
             rc, out = run_delta(prev, cur)
         self.assertEqual(rc, 0)
-        self.assertIn("| tape codec compression (raw / encoded) | 3.000 "
-                      "| 3.330 | +11.0% |", out)
+        self.assertIn("| peak RSS, kB (bench_memory process) | 9,000 "
+                      "| 9,600 | +6.7% |", out)
 
 
 if __name__ == "__main__":

@@ -80,7 +80,6 @@ int main(int argc, char** argv) {
       cfg.incremental = modes[i].incremental;
       cfg.preprocess.enabled = modes[i].fast;
       cfg.solver.assumption_savepoint = modes[i].fast;
-      if (modes[i].fast) cfg.solver.inprocess.vivify_interval = 8;
       runs[i] = run_policy(bm, OrderingPolicy::Dynamic, budget, cfg);
       const double t = runs[i].cumulative_time.empty()
                            ? 0.0

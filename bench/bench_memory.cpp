@@ -1,10 +1,7 @@
 // Formula-state footprint record (BENCH_memory.json) — the space half of
 // the bench trajectory, companion to bench_micro's throughput record.
 //
-// Four sections:
-//   * rows      — per quick-suite model: the tape's raw cost, its codec
-//                 cost, bytes/clause both ways, and what cold storage
-//                 leaves resident after freezing the whole prefix;
+// Three sections:
 //   * pauses    — the arena's chunk-allocation and GC pause histograms
 //                 from a metrics-enabled end-to-end run (the chunked
 //                 arena's "no multi-ms realloc stall" claim, measured);
@@ -12,17 +9,10 @@
 //                 demoted (lone consumer) and once forced, proving the
 //                 demoted lineup pays nothing for unused rank machinery;
 //   * process   — peak RSS (VmHWM) and the race tracker's own peak.
-//
-// The codec's compression claim is enforced, not just reported: the run
-// fails (exit 1) unless total encoded bytes are at most 1/3 of raw.
 #include <cstdio>
 #include <cstring>
-#include <string>
 #include <vector>
 
-#include "bmc/encoder.hpp"
-#include "bmc/tape.hpp"
-#include "bmc/tape_codec.hpp"
 #include "harness.hpp"
 #include "model/benchgen.hpp"
 #include "obs/metrics.hpp"
@@ -68,56 +58,6 @@ int run() {
   JsonWriter w;
   w.begin_object();
   w.kv("bench", "memory");
-
-  // ---- tape codec compression, per model --------------------------------
-  w.key("rows");
-  w.begin_array();
-  std::uint64_t tot_raw = 0, tot_encoded = 0, tot_clauses = 0;
-  for (const auto& bm : model::quick_suite()) {
-    bmc::ClauseTape tape;
-    bmc::FrameEncoder enc(bm.net, tape);
-    enc.encode_to(bm.suggested_bound);
-
-    const std::size_t raw = tape.raw_bytes();
-    const bmc::TapeCodec::EncodedRange range =
-        bmc::TapeCodec::encode(tape, tape.mark());
-    const std::size_t encoded = range.bytes.size();
-    const std::size_t clauses = tape.num_clauses();
-    const std::size_t resident_hot = tape.memory_bytes();
-    tape.freeze_prefix(tape.mark());
-    const std::size_t resident_cold = tape.memory_bytes();
-
-    w.begin_object();
-    w.kv("name", bm.name);
-    w.kv("depth", bm.suggested_bound);
-    w.kv("clauses", static_cast<std::uint64_t>(clauses));
-    w.kv("raw_bytes", static_cast<std::uint64_t>(raw));
-    w.kv("encoded_bytes", static_cast<std::uint64_t>(encoded));
-    w.kv("raw_bytes_per_clause",
-         clauses > 0 ? static_cast<double>(raw) / clauses : 0.0);
-    w.kv("encoded_bytes_per_clause",
-         clauses > 0 ? static_cast<double>(encoded) / clauses : 0.0);
-    w.kv("compression",
-         encoded > 0 ? static_cast<double>(raw) / encoded : 0.0);
-    // What a frozen tape still keeps resident (segments + live tail).
-    w.kv("resident_hot_bytes", static_cast<std::uint64_t>(resident_hot));
-    w.kv("resident_cold_bytes", static_cast<std::uint64_t>(resident_cold));
-    w.end_object();
-
-    tot_raw += raw;
-    tot_encoded += encoded;
-    tot_clauses += clauses;
-  }
-  w.end_array();
-
-  w.key("codec_totals");
-  w.begin_object();
-  w.kv("clauses", tot_clauses);
-  w.kv("raw_bytes", tot_raw);
-  w.kv("encoded_bytes", tot_encoded);
-  w.kv("compression",
-       tot_encoded > 0 ? static_cast<double>(tot_raw) / tot_encoded : 0.0);
-  w.end_object();
 
   // ---- arena pause histograms -------------------------------------------
   // A metrics-enabled end-to-end run over a grinding UNSAT instance: the
@@ -189,20 +129,7 @@ int run() {
     std::fprintf(stderr, "bench_memory: cannot write BENCH_memory.json\n");
     return 1;
   }
-  const double ratio =
-      tot_encoded > 0 ? static_cast<double>(tot_raw) / tot_encoded : 0.0;
-  std::printf(
-      "bench_memory: wrote BENCH_memory.json (%llu clauses, %.2fx codec)\n",
-      static_cast<unsigned long long>(tot_clauses), ratio);
-
-  // The acceptance bar: encoded at most a third of raw, in aggregate.
-  if (tot_encoded * 3 > tot_raw) {
-    std::fprintf(stderr,
-                 "bench_memory: FAIL — encoded %llu > raw %llu / 3\n",
-                 static_cast<unsigned long long>(tot_encoded),
-                 static_cast<unsigned long long>(tot_raw));
-    return 1;
-  }
+  std::printf("bench_memory: wrote BENCH_memory.json\n");
   return 0;
 }
 

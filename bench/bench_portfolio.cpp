@@ -391,7 +391,6 @@ int run(int argc, char** argv) {
       plain_cfg.total_time_limit_sec = budget;
       bmc::EngineConfig prep_cfg = plain_cfg;
       prep_cfg.preprocess.enabled = true;
-      prep_cfg.solver.inprocess.vivify_interval = 8;
 
       Timer plain_timer;
       bmc::BmcEngine plain_engine(bm.net, plain_cfg);

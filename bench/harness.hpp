@@ -52,14 +52,11 @@ inline void write_depth_stats(JsonWriter& w, const bmc::DepthStats& d) {
   w.kv("encode_us", d.encode_us);
   w.kv("simplify_us", d.simplify_us);
   w.kv("solve_us", d.solve_us);
-  // Preprocess / inprocess counters (PR 7): what the tape pass removed
-  // before solving and what vivification trimmed during it.
+  // Preprocess counters: what the tape pass removed before solving.
   w.kv("vars_eliminated", d.vars_eliminated);
   w.kv("clauses_subsumed", d.clauses_subsumed);
   w.kv("lits_strengthened", d.lits_strengthened);
   w.kv("preprocess_us", d.preprocess_us);
-  w.kv("vivify_rounds", d.vivify_rounds);
-  w.kv("inprocess_us", d.inprocess_us);
   // Incremental fast path (PR 8): savepoint resumes and frame-retirement
   // sweeps (zero for scratch sessions / savepoint off).
   w.kv("savepoint_hits", d.savepoint_hits);

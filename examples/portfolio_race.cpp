@@ -9,7 +9,6 @@
 //                      [--share-cap N] [--share-rank 0|1]
 //                      [--core-weighting linear|uniform|last-only|exp-decay]
 //                      [--preprocess 0|1] [--bve-budget N]
-//                      [--vivify-interval N]
 //                      [--trace FILE] [--trace-buffer-kb KB] [--metrics FILE]
 //
 // --trace FILE records a race-wide event timeline and writes it as

@@ -102,21 +102,12 @@ RaceOptions& RaceOptions::bve_budget(int occurrences) {
   cli_.bve_budget = occurrences;
   return *this;
 }
-RaceOptions& RaceOptions::vivify_interval(int restarts) {
-  cli_.vivify_interval = restarts;
-  cli_.vivify_interval_set = true;
-  return *this;
-}
 RaceOptions& RaceOptions::assumption_savepoint(bool on) {
   cli_.assumption_savepoint = on;
   return *this;
 }
 RaceOptions& RaceOptions::mem_ceiling_mb(int mb) {
   cli_.mem_ceiling_mb = mb;
-  return *this;
-}
-RaceOptions& RaceOptions::tape_cold(bool on) {
-  cli_.tape_cold = on;
   return *this;
 }
 
@@ -219,9 +210,9 @@ ObservabilityScope::~ObservabilityScope() {
 std::uint64_t config_fingerprint(const RaceOptions& options) {
   // FNV-1a over (tag, value) pairs, the same mixing discipline as
   // bmc::formula_fingerprint / model::structural_hash.  Resolve first so
-  // the hash covers the *effective* configuration — e.g. a vivify
-  // interval that --preprocess off forces to 0 hashes as 0 — and so two
-  // option spellings of the same behaviour collide on purpose.
+  // the hash covers the *effective* configuration — parsed policy and
+  // mode names, the ceiling in bytes — and so two option spellings of
+  // the same behaviour collide on purpose.
   const portfolio::ResolvedPortfolio r = options.resolve();
 
   std::uint64_t h = 1469598103934665603ull;
@@ -253,8 +244,6 @@ std::uint64_t config_fingerprint(const RaceOptions& options) {
   mix(0x17, static_cast<std::uint64_t>(r.engine.solver.decision));
   mix(0x18, static_cast<std::uint64_t>(r.engine.solver.glue_lbd));
   mix(0x19, static_cast<std::uint64_t>(r.engine.solver.tier_lbd));
-  mix(0x1a, static_cast<std::uint64_t>(
-                r.engine.solver.inprocess.vivify_interval));
   mix(0x1b, r.engine.solver.assumption_savepoint ? 1 : 0);
   mix(0x1c, static_cast<std::uint64_t>(r.num_threads));
   mix(0x1d, r.seed);
@@ -266,9 +255,7 @@ std::uint64_t config_fingerprint(const RaceOptions& options) {
   mix(0x23, static_cast<std::uint64_t>(
                 r.engine.preprocess.bve_max_resolvent));
   // The memory ceiling changes when a run is cut off, hence verdicts —
-  // it must key the cache.  tape_cold is deliberately ABSENT: cold
-  // storage re-encodes the same clauses (round-trip-exact codec), so the
-  // formula, the search and every verdict are bit-identical either way.
+  // it must key the cache.
   mix(0x24, r.engine.mem_ceiling_bytes);
   return h;
 }

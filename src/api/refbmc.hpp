@@ -42,9 +42,11 @@ namespace refbmc::api {
 /// Builder-style configuration of one check: wraps the CLI-level
 /// PortfolioConfig (threads, policies, budget, sharing, preprocessing,
 /// ...) plus the engine-level bad mode, behind chainable setters.
-/// Invalid *values* (unknown policy name, tier below glue) surface at
-/// resolve time — i.e. inside api::check — as std::invalid_argument,
-/// exactly like the CLI path, because they go through the same resolver.
+/// Invalid *values* (unknown or repeated policy name, tier below glue,
+/// zero threads) surface at resolve time — i.e. inside api::check and
+/// JobServer::submit — as std::invalid_argument, exactly like the CLI
+/// path, because they go through the same checks
+/// (PortfolioConfig::validate).
 class RaceOptions {
  public:
   RaceOptions() = default;
@@ -78,14 +80,10 @@ class RaceOptions {
   RaceOptions& core_weighting(const std::string& name);
   RaceOptions& preprocess(bool on);
   RaceOptions& bve_budget(int occurrences);
-  RaceOptions& vivify_interval(int restarts);
   RaceOptions& assumption_savepoint(bool on);
   /// Formula-state memory ceiling in MiB (0 = unlimited); a breach ends
   /// the race with Status::ResourceLimit and mem_limit_hit set.
   RaceOptions& mem_ceiling_mb(int mb);
-  /// Keep replayed tape prefixes codec-encoded (~3x smaller resident
-  /// formula).  Representation-only: excluded from config_fingerprint.
-  RaceOptions& tape_cold(bool on);
 
   // ---- inspection ----------------------------------------------------------
   const PortfolioConfig& cli() const { return cli_; }
@@ -93,9 +91,10 @@ class RaceOptions {
   int max_depth() const { return cli_.max_depth; }
   double budget_sec() const { return cli_.budget_sec; }
 
-  /// Resolves to the scheduler/engine types (parses policy and mode
-  /// names; throws std::invalid_argument on unknown ones) and applies
-  /// the façade-level extras (bad mode).
+  /// Resolves to the scheduler/engine types (checks ranges, parses
+  /// policy and mode names; throws std::invalid_argument on a bad value,
+  /// an unknown name or a repeated policy) and applies the façade-level
+  /// extras (bad mode).
   portfolio::ResolvedPortfolio resolve() const;
 
  private:
@@ -214,11 +213,9 @@ class ObservabilityScope {
 /// layers can never disagree about formula identity; on top of it hashes
 /// the search-affecting knobs: policy lineup, threads, seed, budget,
 /// incremental mode, decision scorer, reduceDB tiers, the whole sharing
-/// family, vivification cadence, the assumption savepoint and the
-/// memory ceiling.  Observability settings (trace/metrics files) and
-/// tape cold storage are deliberately excluded — they never change a
-/// verdict or a counter (cold storage is representation-only; the codec
-/// round-trip is exact).
+/// family, the assumption savepoint and the memory ceiling.
+/// Observability settings (trace/metrics files) are deliberately
+/// excluded — they never change a verdict or a counter.
 std::uint64_t config_fingerprint(const RaceOptions& options);
 
 }  // namespace refbmc::api

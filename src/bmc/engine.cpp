@@ -103,10 +103,9 @@ BmcEngine::BmcEngine(const model::Netlist& net, EngineConfig config,
   }
   if (config_.mem_ceiling_bytes > 0) mem_->set_ceiling(config_.mem_ceiling_bytes);
   // Idempotent under a shared tape: every racing entrant carries the same
-  // tracker / cold flag, and SharedTape's setters transfer charges rather
-  // than double-count (tape.cpp).
+  // tracker, and set_mem_tracker transfers charges rather than
+  // double-counting (tape.cpp).
   tape_->set_mem_tracker(mem_);
-  tape_->set_cold_storage(config_.tape_cold);
 }
 
 sat::SolverConfig BmcEngine::solver_config_for_policy() const {
@@ -255,11 +254,6 @@ BmcResult BmcEngine::run() {
     stats.simplified_vars_removed = encode.vars_removed;
     stats.simplified_clauses_removed = encode.clauses_removed;
     stats.rank_switched = solver.stats().rank_switched;
-    stats.vivify_rounds =
-        solver.stats().vivify_rounds - before.vivify_rounds;
-    stats.vivified_literals =
-        solver.stats().vivified_literals - before.vivified_literals;
-    stats.inprocess_us = solver.stats().inprocess_us - before.inprocess_us;
     stats.savepoint_hits =
         solver.stats().savepoint_hits - before.savepoint_hits;
     stats.savepoint_misses =
@@ -370,21 +364,15 @@ BmcResult BmcEngine::run() {
   return result;
 }
 
-BmcResult check_invariant(const model::Netlist& net, int max_depth,
-                          OrderingPolicy policy, std::size_t bad_index) {
-  EngineConfig cfg;
-  cfg.policy = policy;
-  cfg.max_depth = max_depth;
-  BmcEngine engine(net, cfg, bad_index);
-  return engine.run();
-}
-
 CompleteCheckResult check_invariant_complete(const model::Netlist& net,
                                              OrderingPolicy policy,
                                              std::size_t bad_index) {
   CompleteCheckResult result;
   result.threshold = mc::compute_diameter(net);
-  result.bmc = check_invariant(net, result.threshold, policy, bad_index);
+  EngineConfig cfg;
+  cfg.policy = policy;
+  cfg.max_depth = result.threshold;
+  result.bmc = BmcEngine(net, cfg, bad_index).run();
   result.proven = result.bmc.status == BmcResult::Status::BoundReached;
   return result;
 }

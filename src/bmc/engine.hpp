@@ -160,11 +160,6 @@ struct EngineConfig {
   /// instead of an engine-private one; the ceiling then bounds the SUM
   /// across entrants.  Not owned; must outlive run().
   MemTracker* mem_tracker = nullptr;
-  /// Cold storage: the shared tape keeps replayed depth prefixes and
-  /// consumed preprocessing caches codec-encoded (bmc/tape_codec.hpp),
-  /// trading replay-time decode for a ~3x smaller resident formula.
-  /// Representation-only — excluded from formula/config fingerprints.
-  bool tape_cold = false;
   /// Cooperative cancellation: when non-null and set to true (possibly
   /// from another thread, e.g. by the portfolio scheduler when a rival
   /// policy wins), run() stops at the next depth / solver checkpoint and
@@ -242,10 +237,10 @@ struct DepthStats {
   std::uint64_t clauses_subsumed = 0;
   std::uint64_t lits_strengthened = 0;
   std::uint64_t preprocess_us = 0;
-  /// Restart-boundary inprocessing by THIS engine's solver at this depth
-  /// (zero with vivify_interval 0): vivification passes, literals they
-  /// removed from learned clauses, and time spent.
-  std::uint64_t vivify_rounds = 0;
+  /// Always 0: the solver has no inprocessing.  Kept only because the
+  /// end-to-end benchmark (bench/e2e/measure.hpp) still reads them for
+  /// its sat.vivified_lits and sat.vivify_ms rows; they go with those
+  /// rows.
   std::uint64_t vivified_literals = 0;
   std::uint64_t inprocess_us = 0;
   /// Incremental fast path at this depth (zero for scratch sessions or
@@ -260,8 +255,8 @@ struct DepthStats {
   std::uint64_t retired_frame_clauses = 0;
   /// Formula-state footprint at the end of this depth: the tracker's
   /// high-water mark (race-wide under a shared tracker), this entrant's
-  /// clause-arena bytes, and the shared tape's resident bytes (raw +
-  /// frozen segments + preprocessing caches; a race-wide figure).
+  /// clause-arena bytes, and the shared tape's resident bytes (events +
+  /// preprocessing caches; a race-wide figure).
   std::uint64_t peak_bytes = 0;
   std::uint64_t arena_bytes = 0;
   std::uint64_t tape_bytes = 0;
@@ -345,16 +340,6 @@ class BmcEngine {
 /// cache both build on this one function, which is what keeps the two
 /// keys from drifting apart (asserted by the api fingerprint tests).
 std::uint64_t formula_fingerprint(const EngineConfig& config);
-
-/// One-call convenience used by examples: checks property `bad_index` of
-/// `net` up to `max_depth` with the given policy.
-///
-/// Deprecated for new call sites: prefer the stable façade in
-/// api/refbmc.hpp (api::check over a CheckRequest), which adds racing,
-/// budgets and result caching behind the same one-call shape.
-BmcResult check_invariant(const model::Netlist& net, int max_depth,
-                          OrderingPolicy policy = OrderingPolicy::Dynamic,
-                          std::size_t bad_index = 0);
 
 /// BMC with an automatically computed completeness threshold (§2 of the
 /// paper: "k exceeds a predetermined completeness threshold" ⇒ the

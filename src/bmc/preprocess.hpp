@@ -1,5 +1,4 @@
-// Tape-level CNF preprocessing (paper-adjacent perf layer; ROADMAP
-// "Inprocessing + formula preprocessing layer").
+// Tape-level CNF preprocessing (paper-adjacent perf layer).
 //
 // The tape pipeline simplifies at the AIG level (constprop, strashing,
 // latch aliasing), but the CNF that reaches the racing solvers is the

@@ -102,10 +102,9 @@ class IncrementalSession final : public FormulaSession {
     if (guard.is_undef()) {
       origin_.push_back(VarOrigin{model::kConstNode, -2});
       guard = sat::Lit::make(solver_->new_var());
-      // Live guards shield their clauses from vivification and, once
-      // retired, key the frame-retirement sweep.  Registration only in
-      // savepoint mode: without it the solver must stay bit-identical
-      // to a plain incremental session.
+      // Retired guards key the frame-retirement sweep.  Registration
+      // only in savepoint mode: without it the solver must stay
+      // bit-identical to a plain incremental session.
       if (savepoint_) solver_->register_frame_guard(guard.var());
       // Guarded property: assuming `guard` asserts the violation at k.
       solver_->add_clause({~guard, cursor_.translate(tape_.property(k))});

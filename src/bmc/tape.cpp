@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <array>
 
-#include "bmc/tape_codec.hpp"
 #include "model/stats.hpp"
 #include "obs/trace.hpp"
 #include "util/assert.hpp"
@@ -14,49 +13,16 @@ void ClauseTape::scan(
     std::size_t op_begin, std::size_t op_end,
     const std::function<void(std::size_t)>& on_vars,
     const std::function<void(std::span<const sat::Lit>)>& on_clause) const {
-  REFBMC_EXPECTS(op_begin <= op_end && op_end <= base_ops_ + ops_.size());
-  std::size_t at = op_begin;
-
-  // Frozen prefix: decode every segment the range touches.  The codec's
-  // delta chain spans a whole segment, so a partially-wanted segment is
-  // decoded in full and clipped — the price of cold storage, paid only
-  // by late joiners (steady-state consumers read the raw tail).
-  std::size_t seg_start = 0;
-  for (const FrozenSegment& seg : frozen_) {
-    const std::size_t seg_end = seg_start + seg.ops;
-    if (at >= op_end) return;
-    if (at < seg_end) {
-      std::size_t op = seg_start;
-      TapeCodec::for_each(
-          seg.bytes,
-          [&](std::size_t n) {
-            const std::size_t lo = std::max(op, at);
-            const std::size_t hi = std::min(op + n, op_end);
-            if (on_vars && hi > lo) on_vars(hi - lo);
-            op += n;
-          },
-          [&](std::span<const sat::Lit> lits) {
-            if (on_clause && op >= at && op < op_end) on_clause(lits);
-            ++op;
-          });
-      at = std::min(seg_end, op_end);
-    }
-    seg_start = seg_end;
-  }
-  if (at >= op_end) return;
-
-  // Raw tail.  Literal offsets are not stored per op, so recover the
-  // start offset by summing clause sizes up to `at` — a linear walk over
-  // plain ints, negligible next to the clause copying that follows.
-  REFBMC_ASSERT(at >= base_ops_);
-  std::size_t local = at - base_ops_;
-  const std::size_t local_end = op_end - base_ops_;
+  REFBMC_EXPECTS(op_begin <= op_end && op_end <= ops_.size());
+  // Literal offsets are not stored per op, so recover the start offset
+  // by summing clause sizes up to op_begin — a linear walk over plain
+  // ints, negligible next to the clause copying that follows.
   std::size_t lit = 0;
-  for (std::size_t i = 0; i < local; ++i)
+  for (std::size_t i = 0; i < op_begin; ++i)
     if (ops_[i] != kVarOp) lit += static_cast<std::size_t>(ops_[i]);
   std::size_t var_run = 0;
-  while (local < local_end) {
-    const std::int32_t op = ops_[local++];
+  for (std::size_t at = op_begin; at < op_end; ++at) {
+    const std::int32_t op = ops_[at];
     if (op == kVarOp) {
       ++var_run;
       continue;
@@ -71,41 +37,6 @@ void ClauseTape::scan(
     lit += static_cast<std::size_t>(op);
   }
   if (var_run != 0 && on_vars) on_vars(var_run);
-}
-
-void ClauseTape::freeze_prefix(const Mark& upto) {
-  REFBMC_EXPECTS_MSG(upto.ops >= base_ops_ &&
-                         upto.ops <= base_ops_ + ops_.size(),
-                     "freeze_prefix is monotone over the raw region");
-  if (upto.ops == base_ops_) return;
-  FrozenSegment seg;
-  seg.ops = upto.ops - base_ops_;
-  seg.lits = upto.lits - base_lits_;
-  {
-    TapeCodec::Writer w(seg.bytes);
-    std::size_t lit = 0;
-    for (std::size_t i = 0; i < seg.ops; ++i) {
-      const std::int32_t op = ops_[i];
-      if (op == kVarOp) {
-        w.add_var();
-        continue;
-      }
-      w.add_clause(std::span<const sat::Lit>(lits_.data() + lit,
-                                             static_cast<std::size_t>(op)));
-      lit += static_cast<std::size_t>(op);
-    }
-    REFBMC_ASSERT(lit == seg.lits);
-    w.finish();
-  }
-  ops_.erase(ops_.begin(), ops_.begin() + static_cast<std::ptrdiff_t>(seg.ops));
-  lits_.erase(lits_.begin(),
-              lits_.begin() + static_cast<std::ptrdiff_t>(seg.lits));
-  ops_.shrink_to_fit();
-  lits_.shrink_to_fit();
-  base_ops_ += seg.ops;
-  base_lits_ += seg.lits;
-  seg.bytes.shrink_to_fit();
-  frozen_.push_back(std::move(seg));
 }
 
 void ClauseTape::replay(Cursor& cursor, const Mark& upto,
@@ -123,7 +54,6 @@ void ClauseTape::replay(Cursor& cursor, const Mark& upto,
          out.add_clause(clause);
        });
   cursor.op = upto.ops;
-  cursor.lit = upto.lits;
 }
 
 void ClauseTape::append_clauses(const Mark& from, const Mark& upto,
@@ -157,7 +87,7 @@ void SharedTape::recharge_locked() {
   // O(depths): every cache is a handful of flat vectors.
   std::size_t caches = inc_remap_.memory_bytes();
   for (const IncDelta& d : inc_deltas_) {
-    caches += d.clauses.memory_bytes() + d.cold.capacity();
+    caches += d.clauses.memory_bytes();
     caches += d.resurrected.capacity() * sizeof(sat::Var) +
               d.kept_new.capacity();
   }
@@ -186,11 +116,6 @@ void SharedTape::ensure_locked(int k) {
     span.set_value(static_cast<std::int64_t>(encoder_.stats().clauses_emitted));
     depth_marks_.push_back(tape_.mark());
     depth_stats_.push_back(encoder_.stats());
-    // Cold storage: the depth just superseded is fully replayable from
-    // its mark, so its raw words can be frozen; the newest depth stays
-    // raw (it is what steady-state consumers are about to read).
-    if (cold_ && depth_marks_.size() >= 2)
-      tape_.freeze_prefix(depth_marks_[depth_marks_.size() - 2]);
   }
   if (encoder_.stats().frames_encoded != before) recharge_locked();
 }
@@ -331,13 +256,7 @@ void SharedTape::ensure_inc_delta_locked(int f) {
   }
   d.stats = result.stats;
   span.set_value(static_cast<std::int64_t>(result.clauses.size()));
-  if (cold_) {
-    d.cold = TapeCodec::encode_clauses(result.clauses);
-    d.cold.shrink_to_fit();
-    d.is_cold = true;
-  } else {
-    d.clauses = std::move(result.clauses);
-  }
+  d.clauses = std::move(result.clauses);
   d.ready = true;
   recharge_locked();
 }
@@ -369,21 +288,15 @@ void SharedTape::replay_delta_locked(int f, ClauseTape::Cursor& cursor,
                                  : sat::kVarUndef);
   }
   std::vector<sat::Lit> clause;
-  const auto emit = [&](std::span<const sat::Lit> c) {
+  for (const std::span<const sat::Lit> c : d.clauses) {
     clause.clear();
     for (const sat::Lit l : c) clause.push_back(cursor.translate(l));
     out.add_clause(clause);
-  };
-  if (d.is_cold) {
-    TapeCodec::decode_clauses(d.cold, emit);
-  } else {
-    for (const std::span<const sat::Lit> c : d.clauses) emit(c);
   }
   // Park at the depth mark: translate() keeps working for property, bad
   // and latch literals over kept (frozen) variables, and the next
   // replay_to finds the depth from the mark.
   cursor.op = mark.ops;
-  cursor.lit = mark.lits;
 }
 
 PreprocessStats SharedTape::preprocess_stats_at(int k) {
@@ -451,16 +364,6 @@ EncodeStats SharedTape::stats() const {
   return encoder_.stats();
 }
 
-void SharedTape::set_cold_storage(bool on) {
-  const std::lock_guard<std::mutex> lock(mu_);
-  cold_ = on;
-}
-
-bool SharedTape::cold_storage() const {
-  const std::lock_guard<std::mutex> lock(mu_);
-  return cold_;
-}
-
 void SharedTape::set_mem_tracker(MemTracker* tracker) {
   const std::lock_guard<std::mutex> lock(mu_);
   if (mem_ != nullptr) mem_->sub(last_charged_);
@@ -471,16 +374,6 @@ void SharedTape::set_mem_tracker(MemTracker* tracker) {
 std::size_t SharedTape::memory_bytes() const {
   const std::lock_guard<std::mutex> lock(mu_);
   return tape_.memory_bytes() + cache_bytes_;
-}
-
-std::size_t SharedTape::tape_raw_bytes() const {
-  const std::lock_guard<std::mutex> lock(mu_);
-  return tape_.raw_bytes();
-}
-
-std::size_t SharedTape::tape_encoded_bytes() const {
-  const std::lock_guard<std::mutex> lock(mu_);
-  return tape_.encoded_bytes();
 }
 
 }  // namespace refbmc::bmc

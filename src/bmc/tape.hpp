@@ -14,14 +14,8 @@
 // replay_to() streams a consumer forward.  Replay happens under the lock
 // too — clause copying is orders of magnitude cheaper than solving, so
 // contention is negligible next to the O(P × k²) re-encoding it replaces.
-// Cold storage (PR 10): freeze_prefix() re-encodes an already-replayed
-// event prefix into the compact codec form (tape_codec.hpp) and drops
-// the raw vectors — indices stay absolute, every reader goes through
-// scan(), and late joiners decode transparently.  SharedTape's
-// set_cold_storage(true) freezes each depth's prefix as the next one is
-// encoded and keeps the consumed per-depth delta caches encoded too.
-// Representation-only: verdicts, counters and replay streams are
-// bit-identical with the mode off or on.
+// Events are stored raw in two flat vectors (one op per event, the
+// clause literals back to back), so any range replays by a linear walk.
 //
 // Preprocessing (preprocess.hpp) runs under the same mutex in one
 // PreprocessWorkspace the tape owns, once per depth: each depth's delta
@@ -62,7 +56,6 @@ class ClauseTape final : public ClauseSink {
   /// tape variable i became.
   struct Cursor {
     std::size_t op = 0;
-    std::size_t lit = 0;
     std::vector<sat::Var> var_map;
 
     /// Translates a tape-space literal into the sink's variable space.
@@ -90,8 +83,7 @@ class ClauseTape final : public ClauseSink {
 
   // ---- reading ---------------------------------------------------------
   Mark mark() const {
-    return Mark{base_ops_ + ops_.size(), base_lits_ + lits_.size(),
-                origin_.size(), num_clauses_};
+    return Mark{ops_.size(), lits_.size(), origin_.size(), num_clauses_};
   }
   std::size_t num_vars() const { return origin_.size(); }
   std::size_t num_clauses() const { return num_clauses_; }
@@ -107,20 +99,11 @@ class ClauseTape final : public ClauseSink {
 
   /// Walks ops [op_begin, op_end): on_vars(n) per run of add_var ops,
   /// on_clause(lits) per clause in tape literal space (span valid until
-  /// the next callback).  Transparent over frozen segments — they are
-  /// decoded on the fly.  Either callback may be empty.
+  /// the next callback).  Either callback may be empty.
   void scan(std::size_t op_begin, std::size_t op_end,
             const std::function<void(std::size_t)>& on_vars,
             const std::function<void(std::span<const sat::Lit>)>& on_clause)
       const;
-
-  // ---- cold storage ----------------------------------------------------
-  /// Re-encodes every raw event below `upto` into a compact codec
-  /// segment and drops the raw words.  Indices stay absolute (mark(),
-  /// Cursor positions and replay() keep working unchanged); reading a
-  /// frozen range decodes it through scan().  Monotone: upto must not
-  /// precede an earlier freeze.
-  void freeze_prefix(const Mark& upto);
 
   /// Capacity hints for the recording vectors, ADDED to what is already
   /// stored (netlist-derived, see SharedTape's per-frame estimate).
@@ -129,46 +112,20 @@ class ClauseTape final : public ClauseSink {
     lits_.reserve(lits_.size() + lits);
   }
 
-  std::size_t frozen_segments() const { return frozen_.size(); }
-  /// What the whole event stream costs in raw vector form (4 bytes per
-  /// op + 4 per literal), frozen or not — the codec's baseline.
-  std::size_t raw_bytes() const {
-    return (base_ops_ + ops_.size()) * sizeof(std::int32_t) +
-           (base_lits_ + lits_.size()) * sizeof(sat::Lit);
-  }
-  /// Encoded bytes held by frozen segments.
-  std::size_t encoded_bytes() const {
-    std::size_t n = 0;
-    for (const FrozenSegment& s : frozen_) n += s.bytes.size();
-    return n;
-  }
-  /// The tape's actual heap footprint: raw-tail capacity + frozen
-  /// segment bytes + the origin vector.
+  /// The tape's actual heap footprint: the capacity of its three
+  /// vectors.
   std::size_t memory_bytes() const {
-    std::size_t n = ops_.capacity() * sizeof(std::int32_t) +
-                    lits_.capacity() * sizeof(sat::Lit) +
-                    origin_.capacity() * sizeof(VarOrigin);
-    for (const FrozenSegment& s : frozen_) n += s.bytes.capacity();
-    return n;
+    return ops_.capacity() * sizeof(std::int32_t) +
+           lits_.capacity() * sizeof(sat::Lit) +
+           origin_.capacity() * sizeof(VarOrigin);
   }
 
  private:
   static constexpr std::int32_t kVarOp = -1;
 
-  /// One frozen (codec-encoded) prefix range; segments are contiguous
-  /// from op 0 and cover base_ops_ ops / base_lits_ lits in total.
-  struct FrozenSegment {
-    std::size_t ops = 0;
-    std::size_t lits = 0;
-    std::vector<std::uint8_t> bytes;
-  };
-
-  std::vector<FrozenSegment> frozen_;  // encoded prefix, in order
-  std::size_t base_ops_ = 0;   // absolute index of ops_[0]
-  std::size_t base_lits_ = 0;  // absolute index of lits_[0]
-  std::vector<std::int32_t> ops_;  // raw tail: kVarOp or a literal count
-  std::vector<sat::Lit> lits_;     // raw tail: flattened clause literals
-  std::vector<VarOrigin> origin_;  // per tape variable (never frozen)
+  std::vector<std::int32_t> ops_;  // kVarOp or a literal count
+  std::vector<sat::Lit> lits_;     // flattened clause literals
+  std::vector<VarOrigin> origin_;  // per tape variable
   std::size_t num_clauses_ = 0;
 };
 
@@ -231,25 +188,12 @@ class SharedTape {
   EncodeStats stats() const;
 
   // ---- space accounting -----------------------------------------------
-  /// Cold storage: when on, each depth's event prefix is frozen (codec-
-  /// encoded, raw words dropped) as the next depth is encoded, and the
-  /// consumed IncDelta caches are kept encoded too, decoding on replay.
-  /// Representation-only — replay streams are bit-identical either way —
-  /// so it is excluded from api::config_fingerprint.  Applies to depths
-  /// encoded after the call.
-  void set_cold_storage(bool on);
-  bool cold_storage() const;
-
   /// Tape + cache footprint deltas are charged here (may be null).
   void set_mem_tracker(MemTracker* tracker);
 
   /// Heap footprint of the tape and its per-depth caches (the value
   /// charged to the MemTracker).
   std::size_t memory_bytes() const;
-  /// Raw-form cost of the event stream (the codec baseline) and the
-  /// bytes frozen segments actually hold — the bench_memory ratio.
-  std::size_t tape_raw_bytes() const;
-  std::size_t tape_encoded_bytes() const;
 
  private:
   void ensure_locked(int k);
@@ -278,15 +222,12 @@ class SharedTape {
   /// strictly in depth order, so caching makes the stream identical
   /// race-wide.  The remapper a consumer at depth k completes models
   /// with is inc_remap_.as_of(k), immune to faster consumers advancing
-  /// the cumulative state past k.  stats.clauses_out is the list's size,
-  /// also under cold storage, where the list is kept codec-encoded.
+  /// the cumulative state past k.  stats.clauses_out is the list's size.
   struct IncDelta {
     bool ready = false;
     std::vector<sat::Var> resurrected;  // sink creation order
     std::vector<char> kept_new;         // per var in (prev, mark]
     ClauseList clauses;                 // kits + simplified delta
-    std::vector<std::uint8_t> cold;     // encoded `clauses` (cold mode)
-    bool is_cold = false;
     PreprocessStats stats;
   };
 
@@ -306,9 +247,8 @@ class SharedTape {
   std::vector<sat::lbool> inc_assigned_;       // per tape var
   PreprocessWorkspace work_;                   // every pass's scratch
 
-  // Space accounting (PR 10): cold-storage switch, netlist-derived
-  // per-frame reserve estimate, and the footprint charged to `mem_`.
-  bool cold_ = false;
+  // Space accounting: netlist-derived per-frame reserve estimate and the
+  // footprint charged to `mem_`.
   std::size_t est_ops_frame_ = 0;
   std::size_t est_lits_frame_ = 0;
   std::size_t cache_bytes_ = 0;   // per-depth caches + witness stacks

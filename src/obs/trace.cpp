@@ -30,7 +30,6 @@ const char* to_string(EventKind kind) {
     case EventKind::PoolClose: return "pool_close";
     case EventKind::RankPublish: return "rank_publish";
     case EventKind::SpanPreprocess: return "preprocess";
-    case EventKind::SpanVivify: return "vivify";
   }
   return "?";
 }
@@ -50,7 +49,6 @@ const char* category(EventKind kind) {
     case EventKind::ExportBatch:
     case EventKind::RankRefresh:
     case EventKind::DynamicFallback:
-    case EventKind::SpanVivify:
       return "sat";
     case EventKind::JobSubmit:
     case EventKind::JobStart:
@@ -75,7 +73,6 @@ bool is_span(EventKind kind) {
     case EventKind::ImportBatch:
     case EventKind::RankRefresh:
     case EventKind::SpanPreprocess:
-    case EventKind::SpanVivify:
       return true;
     default:
       return false;

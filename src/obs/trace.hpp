@@ -75,9 +75,8 @@ enum class EventKind : std::uint16_t {
   PoolClose,       // pool epoch closed (race decided)
   RankPublish,     // core merged into SharedRankSource    depth = from depth,
                    //                                      value = new epoch
-  // preprocessing / inprocessing (PR 7).
+  // preprocessing: the per-depth tape pass.
   SpanPreprocess,  // tape CNF simplification for one depth value = clauses out
-  SpanVivify,      // one restart-boundary vivify pass     value = clauses shortened
 };
 
 /// Chrome-facing name of a kind ("encode", "restart", ...).

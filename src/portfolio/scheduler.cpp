@@ -1,6 +1,7 @@
 #include "portfolio/scheduler.hpp"
 
 #include <algorithm>
+#include <array>
 #include <chrono>
 #include <exception>
 #include <map>
@@ -414,13 +415,23 @@ BatchReport PortfolioScheduler::run_batch(
 }
 
 ResolvedPortfolio resolve(const PortfolioConfig& cfg) {
+  cfg.validate();
   ResolvedPortfolio r;
   r.num_threads = cfg.num_threads;
   r.seed = cfg.seed;
+  // Identical entrants run identical, deterministic searches, so a
+  // repeat is pure waste — and rejecting it bounds a race at one thread
+  // per policy, however long the submitted lineup.
+  std::array<bool, bmc::all_policies().size()> listed{};
   for (const std::string& name : cfg.policies) {
     const auto p = bmc::parse_policy(name);
     if (!p)
       throw std::invalid_argument("unknown ordering policy '" + name + "'");
+    bool& seen = listed[static_cast<std::size_t>(*p)];
+    if (seen)
+      throw std::invalid_argument("ordering policy '" + name +
+                                  "' listed twice");
+    seen = true;
     r.policies.push_back(*p);
   }
   r.engine.max_depth = cfg.max_depth;
@@ -442,23 +453,11 @@ ResolvedPortfolio resolve(const PortfolioConfig& cfg) {
   r.engine.weighting = *weighting;
   r.engine.preprocess.enabled = cfg.preprocess;
   r.engine.preprocess.bve_budget = cfg.bve_budget;
-  // Vivification rides the same switch: `--preprocess off` must restore
-  // the PR 6 pipeline bit for bit, inprocessing included.  The interval
-  // itself applies to scratch and incremental sessions alike; when the
-  // user asked for it explicitly and --preprocess off overrides it, say
-  // so — a set knob must never be dropped silently.
-  if (!cfg.preprocess && cfg.vivify_interval_set && cfg.vivify_interval > 0)
-    REFBMC_WARN() << "--vivify-interval " << cfg.vivify_interval
-                  << " ignored: --preprocess off disables inprocessing "
-                     "(bit-identity with the unpreprocessed pipeline)";
-  r.engine.solver.inprocess.vivify_interval =
-      cfg.preprocess ? cfg.vivify_interval : 0;
   // Scratch engines clear this themselves (solver_config_for_policy);
   // the knob reaches only incremental sessions.
   r.engine.solver.assumption_savepoint = cfg.assumption_savepoint;
   r.engine.mem_ceiling_bytes =
       static_cast<std::uint64_t>(cfg.mem_ceiling_mb) * 1024 * 1024;
-  r.engine.tape_cold = cfg.tape_cold;
   r.sharing.enabled = cfg.share;
   r.sharing.lbd_max = cfg.share_lbd;
   r.sharing.size_max = cfg.share_size;

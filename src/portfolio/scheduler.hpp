@@ -178,9 +178,11 @@ class PortfolioScheduler {
   SharingConfig sharing_;
 };
 
-/// PortfolioConfig (CLI layer) resolved against the bmc types: policy
-/// names parsed (std::invalid_argument on unknown), engine defaults
-/// filled in.  The single translation point between `util` and here.
+/// PortfolioConfig (CLI layer) resolved against the bmc types: ranges
+/// checked (PortfolioConfig::validate), policy names parsed
+/// (std::invalid_argument on an unknown or repeated one), engine
+/// defaults filled in.  The single translation point between `util` and
+/// here.
 struct ResolvedPortfolio {
   std::vector<bmc::OrderingPolicy> policies;
   bmc::EngineConfig engine;  // max_depth / incremental / budget applied

@@ -78,13 +78,6 @@ std::uint32_t ClauseDB::compute_lbd_capped(const Clause& c, const Trail& trail,
   return count;
 }
 
-void ClauseDB::remove_learned(ClauseRef cref) {
-  const auto it = std::find(learned_.begin(), learned_.end(), cref);
-  REFBMC_ASSERT(it != learned_.end());
-  learned_.erase(it);
-  arena_.free_clause(cref);
-}
-
 bool ClauseDB::clause_locked(ClauseRef cref, const Trail& trail) const {
   const Clause c = arena_.get(cref);
   const Var v = c[0].var();

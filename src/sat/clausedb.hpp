@@ -77,12 +77,6 @@ class ClauseDB {
                           std::uint32_t lbd, bool managed);
 
   std::size_t num_learned() const { return learned_.size(); }
-  const std::vector<ClauseRef>& learned() const { return learned_; }
-
-  /// Removes a managed learned clause (vivification replaced or proved
-  /// it satisfied) from the deletion list and frees its arena storage.
-  /// The caller must have detached it from the propagator first.
-  void remove_learned(ClauseRef cref);
 
   // ---- activity / LBD maintenance -------------------------------------
   /// Bumps a learned clause used in conflict analysis and lowers its

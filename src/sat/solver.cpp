@@ -685,18 +685,14 @@ Result Solver::solve(const std::vector<Lit>& assumptions) {
       restart_budget = config_.restart_base *
                        luby(static_cast<std::int64_t>(stats_.restarts));
       // Savepoint: restart only down to the assumption prefix unless
-      // root-level work is pending (clause import, rank refresh, a due
-      // vivification pass).  The partial restart still counts toward the
-      // vivification cadence so the interval is honored exactly.
+      // root-level work is pending (clause import, rank refresh).
       const bool need_root =
           !config_.assumption_savepoint ||
           (exchange_ != nullptr && exchange_->has_pending()) ||
-          (rank_refresh_ != nullptr && rank_refresh_->has_update()) ||
-          inprocess_due();
+          (rank_refresh_ != nullptr && rank_refresh_->has_update());
       if (!need_root) {
         backtrack(std::min(trail_.decision_level(),
                            static_cast<int>(assumptions_.size())));
-        if (config_.inprocess.vivify_interval > 0) ++restarts_since_vivify_;
         continue;
       }
       backtrack(0);
@@ -708,13 +704,6 @@ Result Solver::solve(const std::vector<Lit>& assumptions) {
         return finish(Result::Unsat);
       }
       poll_rank_refresh();
-      // Same seam, third consumer: periodic clause vivification (and an
-      // arena-GC opportunity) once the imported lemmas and refreshed
-      // ranks are in place.
-      if (!inprocess_at_restart()) {
-        solved_unsat_ = true;
-        return finish(Result::Unsat);
-      }
       continue;
     }
     if (config_.enable_reduce_db &&

@@ -43,7 +43,6 @@
 #include "sat/clausedb.hpp"
 #include "sat/decision.hpp"
 #include "sat/heuristic.hpp"
-#include "sat/inprocess.hpp"
 #include "sat/propagator.hpp"
 #include "sat/stats.hpp"
 #include "sat/trail.hpp"
@@ -132,10 +131,6 @@ struct SolverConfig {
   // size <= share_size.
   int share_lbd = 4;
   int share_size = 2;
-  // Restart-boundary inprocessing (clause vivification; see
-  // inprocess.hpp).  vivify_interval 0 (the default) disables it and
-  // keeps every search trajectory bit-identical to a solver without it.
-  InprocessConfig inprocess;
   // Conflict-dependency graph / core tracking (paper §3.1).  Turning this
   // off disables unsat_core() but removes the bookkeeping overhead.
   bool track_cdg = true;
@@ -240,9 +235,8 @@ class Solver {
   void set_rank_refresh(RankRefresh* refresh) { rank_refresh_ = refresh; }
 
   // ---- incremental frame guards ---------------------------------------
-  /// Declares `v` a frame activation guard (incremental sessions).  Live
-  /// guards shield their clauses from vivification probing; retired ones
-  /// drive the retirement sweep.
+  /// Declares `v` a frame activation guard (incremental sessions), so
+  /// that retiring it later drives the retirement sweep.
   void register_frame_guard(Var v);
   /// Permanently falsifies a batch of activation guards: backtracks to
   /// the root, adds the unit ~g for each, then sweeps every clause a
@@ -337,27 +331,6 @@ class Solver {
   /// as a learned-tier clause (or asserts it when it reduces to a unit).
   void import_clause(std::span<const Lit> lits, std::uint32_t lbd);
 
-  // -- inprocessing ---------------------------------------------------------
-  /// Runs the periodic vivification pass when its restart interval is
-  /// due (defined in inprocess.cpp).  Called at the restart level-0
-  /// seam, after clause import and rank refresh.  Returns ok_: false
-  /// means inprocessing derived the empty clause (formula unsat).
-  bool inprocess_at_restart();
-  /// Whether the NEXT restart's vivification pass would run — partial
-  /// (savepoint) restarts consult this to decide if they must fall back
-  /// to a full level-0 restart, keeping the vivify cadence intact.
-  bool inprocess_due() const {
-    return config_.inprocess.vivify_interval > 0 &&
-           restarts_since_vivify_ + 1 >=
-               static_cast<std::uint64_t>(config_.inprocess.vivify_interval);
-  }
-  /// True when `v` is a live (unretired) activation guard — vivification
-  /// skips clauses mentioning one (their truth is frame-conditional).
-  bool is_live_guard(Var v) const {
-    return static_cast<std::size_t>(v) < guard_state_.size() &&
-           guard_state_[static_cast<std::size_t>(v)] == 1;
-  }
-
   // -- shared-ordering refresh ----------------------------------------------
   /// Polls the attached RankRefresh at decision level 0 (solve start and
   /// restarts) and re-feeds the decision queue when the shared
@@ -395,7 +368,6 @@ class Solver {
   RankRefresh* rank_refresh_ = nullptr;      // not owned; may be null
   bool ok_ = true;
   bool solved_unsat_ = false;
-  std::uint64_t restarts_since_vivify_ = 0;
   // Assumption savepoint: the assumption list whose decision levels were
   // kept on the trail by the previous solve()'s finish (levels 1..m map
   // to entries 0..m-1, placeholders included), and how many were kept.

@@ -42,13 +42,6 @@ struct SolverStats {
   /// below glue_lbd) across all reduceDB runs.
   std::uint64_t glue_protected = 0;
   std::uint64_t arena_gcs = 0;
-  /// Restart-boundary inprocessing (zero with vivify_interval 0):
-  /// vivification passes run, learned clauses shortened or replaced,
-  /// literals removed from them, and wall time spent in the passes.
-  std::uint64_t vivify_rounds = 0;
-  std::uint64_t vivified_clauses = 0;
-  std::uint64_t vivified_literals = 0;
-  std::uint64_t inprocess_us = 0;
   /// Assumption savepoint (zero with assumption_savepoint off): solve()
   /// calls that kept a non-empty trail prefix from the previous call,
   /// calls that had to fall back to level 0, and the total decision

@@ -43,9 +43,10 @@ JobServer::~JobServer() { shutdown(/*cancel_running=*/true); }
 SubmitOutcome JobServer::submit(api::CheckRequest request, JobOptions opts) {
   SubmitOutcome out;
 
-  // Validate OUTSIDE the lock: resolve() parses policy / mode names, the
-  // same validation the CLI applies — a malformed request is the
-  // client's problem and must not poison an executor later.
+  // Validate OUTSIDE the lock: resolve() checks ranges and parses policy
+  // / mode names, the same validation the CLI applies — a malformed
+  // request is the client's problem and must not poison an executor
+  // later.
   RejectReason invalid = RejectReason::None;
   if (request.bad_index >= request.net.bad_properties().size()) {
     invalid = RejectReason::InvalidRequest;

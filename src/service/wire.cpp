@@ -397,7 +397,6 @@ void write_race_options(JsonWriter& w, const api::RaceOptions& options) {
   w.kv("core_weighting", c.core_weighting);
   w.kv("preprocess", c.preprocess);
   w.kv("bve_budget", c.bve_budget);
-  if (c.vivify_interval_set) w.kv("vivify_interval", c.vivify_interval);
   w.kv("assumption_savepoint", c.assumption_savepoint);
   w.end_object();
 }
@@ -433,9 +432,6 @@ api::RaceOptions parse_race_options(const JsonValue& obj) {
   o.preprocess(obj.get_bool("preprocess", defaults.preprocess));
   o.bve_budget(
       static_cast<int>(obj.get_int("bve_budget", defaults.bve_budget)));
-  if (obj.find("vivify_interval") != nullptr)
-    o.vivify_interval(static_cast<int>(
-        obj.get_int("vivify_interval", defaults.vivify_interval)));
   o.assumption_savepoint(
       obj.get_bool("assumption_savepoint", defaults.assumption_savepoint));
   return o;

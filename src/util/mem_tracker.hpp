@@ -3,7 +3,7 @@
 //
 // One tracker is shared by everything that holds per-check state — the
 // chunked ClauseArena (chunk allocations), ClauseTape/SharedTape (op and
-// literal vectors, frozen codec segments, simplified/delta caches), the
+// literal vectors, simplified/delta caches), the
 // SharedClausePool ring, and the propagator's watcher lists.  Components
 // charge deltas with add()/sub(); the solver and the engine poll
 // breached() at their existing conflict/decision/depth checkpoints and

@@ -78,17 +78,8 @@ std::vector<std::string> split_csv(const std::string& csv) {
 PortfolioConfig PortfolioConfig::from_options(const Options& opts) {
   PortfolioConfig cfg;
   cfg.num_threads = opts.get_int("threads", cfg.num_threads);
-  if (cfg.num_threads < 1)
-    throw std::invalid_argument("option --threads expects a value >= 1");
-  if (opts.has("policies")) {
-    cfg.policies = split_csv(opts.get("policies"));
-    if (cfg.policies.empty())
-      throw std::invalid_argument("option --policies expects a non-empty "
-                                  "comma-separated list");
-  }
+  if (opts.has("policies")) cfg.policies = split_csv(opts.get("policies"));
   cfg.max_depth = opts.get_int("depth", cfg.max_depth);
-  if (cfg.max_depth < 0)
-    throw std::invalid_argument("option --depth expects a value >= 0");
   cfg.budget_sec = opts.get_double("budget", cfg.budget_sec);
   if (opts.has("seed")) {
     const std::string raw = opts.get("seed");
@@ -107,18 +98,10 @@ PortfolioConfig PortfolioConfig::from_options(const Options& opts) {
   cfg.decision = opts.get("decision", cfg.decision);
   cfg.glue_lbd = opts.get_int("glue-lbd", cfg.glue_lbd);
   cfg.tier_lbd = opts.get_int("tier-lbd", cfg.tier_lbd);
-  if (cfg.glue_lbd < 0 || cfg.tier_lbd < cfg.glue_lbd)
-    throw std::invalid_argument(
-        "option --tier-lbd expects a value >= --glue-lbd >= 0");
   cfg.share = opts.get_bool("share", cfg.share);
   cfg.share_lbd = opts.get_int("share-lbd", cfg.share_lbd);
   cfg.share_size = opts.get_int("share-size", cfg.share_size);
-  if (cfg.share_lbd < 0 || cfg.share_size < 0)
-    throw std::invalid_argument(
-        "options --share-lbd / --share-size expect values >= 0");
   cfg.share_cap = opts.get_int("share-cap", cfg.share_cap);
-  if (cfg.share_cap < 1)
-    throw std::invalid_argument("option --share-cap expects a value >= 1");
   // Hardware-adaptive default: with one hardware thread the racing
   // entrants timeslice, so mid-solve rank refreshes buy nothing and the
   // epoch polling is pure overhead.  (hardware_concurrency() may report
@@ -128,25 +111,38 @@ PortfolioConfig PortfolioConfig::from_options(const Options& opts) {
   cfg.core_weighting = opts.get("core-weighting", cfg.core_weighting);
   cfg.preprocess = opts.get_bool("preprocess", cfg.preprocess);
   cfg.bve_budget = opts.get_int("bve-budget", cfg.bve_budget);
-  if (cfg.bve_budget < 1)
-    throw std::invalid_argument("option --bve-budget expects a value >= 1");
-  cfg.vivify_interval = opts.get_int("vivify-interval", cfg.vivify_interval);
-  cfg.vivify_interval_set = opts.has("vivify-interval");
-  if (cfg.vivify_interval < 0)
-    throw std::invalid_argument(
-        "option --vivify-interval expects a value >= 0");
   cfg.assumption_savepoint =
       opts.get_bool("assumption-savepoint", cfg.assumption_savepoint);
   cfg.mem_ceiling_mb = opts.get_int("mem-ceiling", cfg.mem_ceiling_mb);
-  if (cfg.mem_ceiling_mb < 0)
-    throw std::invalid_argument("option --mem-ceiling expects a value >= 0");
-  cfg.tape_cold = opts.get_bool("tape-cold", cfg.tape_cold);
   cfg.trace_file = opts.get("trace", cfg.trace_file);
   cfg.trace_buffer_kb = opts.get_int("trace-buffer-kb", cfg.trace_buffer_kb);
-  if (cfg.trace_buffer_kb < 1)
-    throw std::invalid_argument("option --trace-buffer-kb expects a value >= 1");
   cfg.metrics_file = opts.get("metrics", cfg.metrics_file);
+  cfg.validate();
   return cfg;
+}
+
+void PortfolioConfig::validate() const {
+  if (num_threads < 1)
+    throw std::invalid_argument("option --threads expects a value >= 1");
+  if (policies.empty())
+    throw std::invalid_argument("option --policies expects a non-empty "
+                                "comma-separated list");
+  if (max_depth < 0)
+    throw std::invalid_argument("option --depth expects a value >= 0");
+  if (glue_lbd < 0 || tier_lbd < glue_lbd)
+    throw std::invalid_argument(
+        "option --tier-lbd expects a value >= --glue-lbd >= 0");
+  if (share_lbd < 0 || share_size < 0)
+    throw std::invalid_argument(
+        "options --share-lbd / --share-size expect values >= 0");
+  if (share_cap < 1)
+    throw std::invalid_argument("option --share-cap expects a value >= 1");
+  if (bve_budget < 1)
+    throw std::invalid_argument("option --bve-budget expects a value >= 1");
+  if (mem_ceiling_mb < 0)
+    throw std::invalid_argument("option --mem-ceiling expects a value >= 0");
+  if (trace_buffer_kb < 1)
+    throw std::invalid_argument("option --trace-buffer-kb expects a value >= 1");
 }
 
 bool Options::get_bool(const std::string& name, bool def) const {

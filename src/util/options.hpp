@@ -71,16 +71,10 @@ struct PortfolioConfig {
   bool share_rank = true;  // --share-rank on|off (default is hw-adaptive)
   /// Tape preprocessing (PR 7): bounded variable elimination, subsumption
   /// and self-subsuming resolution over the encoded formula, run once per
-  /// depth race-wide, plus clause vivification inside the solver at
-  /// restart boundaries.  `--preprocess off` restores the unsimplified
-  /// pipeline bit for bit (and disables vivification with it).
+  /// depth race-wide.  `--preprocess off` restores the unsimplified
+  /// pipeline bit for bit.
   bool preprocess = true;   // --preprocess on|off
   int bve_budget = 16;      // --bve-budget: max occurrences of an elim var
-  int vivify_interval = 8;  // --vivify-interval: restarts between passes
-  /// True when the user set --vivify-interval explicitly; the scheduler
-  /// uses it to log (instead of silently dropping) a request that another
-  /// knob overrides.
-  bool vivify_interval_set = false;
   /// Incremental-session fast path (PR 8): successive solve() calls
   /// resume from the longest common assumption prefix instead of the
   /// root, and frame retirements are batched through an arena sweep.
@@ -97,11 +91,6 @@ struct PortfolioConfig {
   /// clean ResourceLimit verdict at the next solver checkpoint.
   /// Accounting runs either way, so 0 is bit-identical to no ceiling.
   int mem_ceiling_mb = 0;  // --mem-ceiling MB
-  /// Keep replayed tape prefixes and consumed preprocessing caches
-  /// codec-encoded in memory (~3x smaller resident formula, paid for
-  /// with decode work on late replays).  Representation-only: verdicts
-  /// and fingerprints are unaffected.
-  bool tape_cold = false;  // --tape-cold on|off
   /// Observability (src/obs): `--trace FILE` records a race-wide event
   /// trace and writes it as Chrome trace-event JSON (open in Perfetto or
   /// chrome://tracing; one track per racing solver); `--metrics FILE`
@@ -116,16 +105,21 @@ struct PortfolioConfig {
   /// `--glue-lbd`, `--tier-lbd`, `--share 0|1`, `--share-lbd`,
   /// `--share-size`, `--share-cap`, `--share-rank 0|1`,
   /// `--core-weighting W`, `--preprocess 0|1`, `--bve-budget N`,
-  /// `--vivify-interval N`, `--assumption-savepoint 0|1`,
-  /// `--mem-ceiling MB`, `--tape-cold 0|1`, `--trace FILE`,
+  /// `--assumption-savepoint 0|1`, `--mem-ceiling MB`, `--trace FILE`,
   /// `--trace-buffer-kb KB`,
   /// `--metrics FILE`; absent options keep the defaults above
   /// (share_rank defaulting off when the host has one hardware thread).
-  /// Throws std::invalid_argument on malformed values (threads < 1,
-  /// empty policy list, non-numeric numbers, tier-lbd below glue-lbd,
-  /// negative share filters, share-cap < 1, bve-budget < 1,
-  /// vivify-interval < 0, mem-ceiling < 0, trace-buffer-kb < 1).
+  /// Throws std::invalid_argument on non-numeric numbers and on what
+  /// validate() rejects.
   static PortfolioConfig from_options(const Options& opts);
+
+  /// The range checks every entry point shares (from_options and
+  /// portfolio::resolve, hence api::check and JobServer::submit too).
+  /// Throws std::invalid_argument on threads < 1, an empty policy list,
+  /// depth < 0, tier-lbd below glue-lbd, negative share filters,
+  /// share-cap < 1, bve-budget < 1, mem-ceiling < 0 or
+  /// trace-buffer-kb < 1.
+  void validate() const;
 };
 
 }  // namespace refbmc

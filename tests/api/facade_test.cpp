@@ -141,7 +141,6 @@ TEST(FacadeTest, FingerprintCoversEveryKnob) {
        [](RaceOptions& o) { o.core_weighting("uniform"); }},
       {"preprocess", [](RaceOptions& o) { o.preprocess(false); }},
       {"bve_budget", [](RaceOptions& o) { o.bve_budget(4); }},
-      {"vivify_interval", [](RaceOptions& o) { o.vivify_interval(3); }},
       {"assumption_savepoint",
        [](RaceOptions& o) { o.assumption_savepoint(false); }},
   };

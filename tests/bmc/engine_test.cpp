@@ -11,7 +11,10 @@ namespace {
 
 TEST(EngineTest, FindsCounterexampleAtExactDepth) {
   const auto bm = model::counter_reach(5, 12, true);
-  const BmcResult r = check_invariant(bm.net, 20, OrderingPolicy::Dynamic);
+  EngineConfig cfg;
+  cfg.policy = OrderingPolicy::Dynamic;
+  cfg.max_depth = 20;
+  const BmcResult r = BmcEngine(bm.net, cfg).run();
   EXPECT_EQ(r.status, BmcResult::Status::CounterexampleFound);
   EXPECT_EQ(r.counterexample_depth, 12);
   ASSERT_TRUE(r.counterexample.has_value());
@@ -21,7 +24,10 @@ TEST(EngineTest, FindsCounterexampleAtExactDepth) {
 
 TEST(EngineTest, BoundReachedOnPassingProperty) {
   const auto bm = model::counter_safe(6, 40, 50);
-  const BmcResult r = check_invariant(bm.net, 15, OrderingPolicy::Static);
+  EngineConfig cfg;
+  cfg.policy = OrderingPolicy::Static;
+  cfg.max_depth = 15;
+  const BmcResult r = BmcEngine(bm.net, cfg).run();
   EXPECT_EQ(r.status, BmcResult::Status::BoundReached);
   EXPECT_FALSE(r.counterexample.has_value());
   EXPECT_EQ(r.last_completed_depth, 15);
@@ -139,12 +145,11 @@ TEST(EngineTest, BadIndexSelectsProperty) {
   b.set_next_word(cnt, b.increment(cnt));
   net.add_bad(b.eq_const(cnt, 3), "at3");
   net.add_bad(b.eq_const(cnt, 7), "at7");
-  EXPECT_EQ(check_invariant(net, 10, OrderingPolicy::Baseline, 0)
-                .counterexample_depth,
-            3);
-  EXPECT_EQ(check_invariant(net, 10, OrderingPolicy::Baseline, 1)
-                .counterexample_depth,
-            7);
+  EngineConfig cfg;
+  cfg.policy = OrderingPolicy::Baseline;
+  cfg.max_depth = 10;
+  EXPECT_EQ(BmcEngine(net, cfg, 0).run().counterexample_depth, 3);
+  EXPECT_EQ(BmcEngine(net, cfg, 1).run().counterexample_depth, 7);
 }
 
 TEST(EngineTest, AnyModeFindsSameDepthFromScratch) {

@@ -31,7 +31,6 @@ EngineConfig incremental_config(const model::Benchmark& bm, bool preprocess,
   cfg.incremental = true;
   cfg.preprocess.enabled = preprocess;
   cfg.solver.assumption_savepoint = savepoint;
-  if (preprocess) cfg.solver.inprocess.vivify_interval = 4;
   return cfg;
 }
 
@@ -77,8 +76,6 @@ TEST(IncrementalPreprocessTest, KnobsOffIsBitIdenticalToLegacyIncremental) {
     legacy.max_depth = bm.suggested_bound;
     legacy.incremental = true;
     EngineConfig off = incremental_config(bm, false, false);
-    off.solver.inprocess.vivify_interval =
-        legacy.solver.inprocess.vivify_interval;
 
     const BmcResult a = BmcEngine(bm.net, legacy).run();
     const BmcResult b = BmcEngine(bm.net, off).run();

@@ -309,7 +309,6 @@ Verdict run_engine(const model::Benchmark& bm, bool simplify,
   cfg.simplify = simplify;
   cfg.incremental = incremental;
   cfg.preprocess.enabled = preprocess;
-  if (preprocess) cfg.solver.inprocess.vivify_interval = 2;
   cfg.validate_counterexamples = true;  // asserts replay on the simulator
   BmcEngine engine(bm.net, cfg);
   const BmcResult r = engine.run();
@@ -378,7 +377,6 @@ TEST(PreprocessEngineTest, OffIsBitIdenticalToDefault) {
   base.max_depth = 6;
   EngineConfig off = base;
   off.preprocess.enabled = false;
-  off.solver.inprocess.vivify_interval = 0;
   const BmcResult a = BmcEngine(bm.net, base).run();
   const BmcResult b = BmcEngine(bm.net, off).run();
   ASSERT_EQ(a.per_depth.size(), b.per_depth.size());
@@ -387,7 +385,6 @@ TEST(PreprocessEngineTest, OffIsBitIdenticalToDefault) {
     EXPECT_EQ(a.per_depth[i].propagations, b.per_depth[i].propagations) << i;
     EXPECT_EQ(a.per_depth[i].conflicts, b.per_depth[i].conflicts) << i;
     EXPECT_EQ(a.per_depth[i].vars_eliminated, 0u);
-    EXPECT_EQ(a.per_depth[i].vivify_rounds, 0u);
   }
 }
 

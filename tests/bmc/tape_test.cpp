@@ -1,11 +1,13 @@
 // ClauseTape / SharedTape: recording and replaying the encoder stream
 // must reproduce the formula bit-for-bit, cursors must translate between
-// variable spaces, and the shared tape must encode each frame exactly
-// once no matter how many consumers (or threads) pull on it.
+// variable spaces, the shared tape must encode each frame exactly once
+// no matter how many consumers (or threads) pull on it, and its
+// footprint must be charged to the memory tracker.
 #include "bmc/tape.hpp"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <thread>
 
@@ -25,6 +27,31 @@ BmcInstance replay_to_instance(SharedTape& tape, int k) {
   ClauseTape::Cursor cursor;
   tape.replay_to(k, cursor, sink);
   return inst;
+}
+
+/// Records the replay stream verbatim for comparison.
+struct RecordSink final : ClauseSink {
+  std::vector<VarOrigin> vars;
+  std::vector<std::vector<sat::Lit>> clauses;
+
+  sat::Var add_var(const VarOrigin& origin) override {
+    vars.push_back(origin);
+    return static_cast<sat::Var>(vars.size() - 1);
+  }
+  void add_clause(std::span<const sat::Lit> lits) override {
+    clauses.emplace_back(lits.begin(), lits.end());
+  }
+};
+
+bool streams_equal(const RecordSink& a, const RecordSink& b) {
+  if (a.vars.size() != b.vars.size() || a.clauses.size() != b.clauses.size())
+    return false;
+  for (std::size_t i = 0; i < a.vars.size(); ++i)
+    if (a.vars[i].node != b.vars[i].node || a.vars[i].frame != b.vars[i].frame)
+      return false;
+  for (std::size_t i = 0; i < a.clauses.size(); ++i)
+    if (a.clauses[i] != b.clauses[i]) return false;
+  return true;
 }
 
 TEST(ClauseTapeTest, ReplayReproducesDirectEncoding) {
@@ -95,6 +122,56 @@ TEST(ClauseTapeTest, CursorTranslatesIntoShiftedSpaces) {
   EXPECT_EQ(solver.solve(), sat::Result::Sat);  // cex at depth 2 exists
 }
 
+TEST(ClauseTapeTest, StandaloneTapeReplaysAndExportsTheSharedStream) {
+  const auto bm = model::counter_reach(4, 6, true);
+  SharedTape shared(bm.net, 0, {});
+  RecordSink reference;
+  {
+    ClauseTape::Cursor cursor;
+    shared.replay_to(5, cursor, reference);
+  }
+
+  // Same stream recorded into a standalone tape, marked halfway.
+  ClauseTape tape;
+  for (const auto& o : reference.vars) tape.add_var(o);
+  const std::size_t half = reference.clauses.size() / 2;
+  std::size_t added = 0;
+  ClauseTape::Mark mid{};
+  for (const auto& c : reference.clauses) {
+    tape.add_clause(c);
+    if (++added == half) mid = tape.mark();
+  }
+  const ClauseTape::Mark end = tape.mark();
+  ASSERT_GT(mid.ops, 0u);
+  ASSERT_LT(mid.ops, end.ops);
+
+  RecordSink replayed;
+  ClauseTape::Cursor cursor;
+  tape.replay(cursor, end, replayed);
+  EXPECT_TRUE(streams_equal(reference, replayed));
+
+  // The same stream in two legs, the second starting mid-tape.
+  RecordSink stitched;
+  ClauseTape::Cursor legs;
+  tape.replay(legs, mid, stitched);
+  EXPECT_EQ(stitched.clauses.size(), half);
+  tape.replay(legs, end, stitched);
+  EXPECT_TRUE(streams_equal(reference, stitched));
+
+  ClauseList exported;
+  tape.append_clauses(ClauseTape::Mark{}, end, exported);
+  ASSERT_EQ(exported.size(), reference.clauses.size());
+  for (std::size_t i = 0; i < exported.size(); ++i)
+    EXPECT_TRUE(std::ranges::equal(exported[i], reference.clauses[i])) << i;
+
+  ClauseList tail;
+  tape.append_clauses(mid, end, tail);
+  ASSERT_EQ(tail.size(), reference.clauses.size() - half);
+  for (std::size_t i = 0; i < tail.size(); ++i)
+    EXPECT_TRUE(std::ranges::equal(tail[i], reference.clauses[half + i]))
+        << i;
+}
+
 TEST(SharedTapeTest, EnsureDepthEncodesEachFrameOnce) {
   const auto bm = model::fifo_safe(3);
   SharedTape tape(bm.net, 0, {});
@@ -163,6 +240,20 @@ TEST(SharedTapeTest, StatsAtDepthAreCumulativeSnapshots) {
   EXPECT_EQ(at5.frames_encoded, 6u);
   EXPECT_LT(at2.vars_emitted, at5.vars_emitted);
   EXPECT_LE(at2.vars_removed, at5.vars_removed);
+}
+
+TEST(SharedTapeMemTest, FootprintIsChargedToTheTracker) {
+  const auto bm = model::fifo_safe(3);
+  MemTracker mem;
+  SharedTape tape(bm.net, 0, {});
+  tape.set_mem_tracker(&mem);
+  EXPECT_EQ(mem.current(), 0u);
+  tape.ensure_depth(5);
+  EXPECT_GT(mem.current(), 0u);
+  EXPECT_EQ(mem.current(), tape.memory_bytes());
+  EXPECT_GE(mem.peak(), mem.current());
+  tape.set_mem_tracker(nullptr);
+  EXPECT_EQ(mem.current(), 0u);
 }
 
 }  // namespace

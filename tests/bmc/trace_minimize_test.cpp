@@ -8,8 +8,10 @@ namespace refbmc::bmc {
 namespace {
 
 Trace find_trace(const model::Benchmark& bm) {
-  const BmcResult r =
-      check_invariant(bm.net, bm.suggested_bound, OrderingPolicy::Dynamic);
+  EngineConfig cfg;
+  cfg.policy = OrderingPolicy::Dynamic;
+  cfg.max_depth = bm.suggested_bound;
+  const BmcResult r = BmcEngine(bm.net, cfg).run();
   EXPECT_EQ(r.status, BmcResult::Status::CounterexampleFound);
   return *r.counterexample;
 }

@@ -20,8 +20,10 @@ TEST(EndToEndTest, AigerFileToVerdict) {
   model::write_aiger_file(path, bm.net);
 
   const model::Netlist loaded = model::read_aiger_file(path);
-  const BmcResult r =
-      check_invariant(loaded, bm.suggested_bound, OrderingPolicy::Dynamic);
+  EngineConfig cfg;
+  cfg.policy = OrderingPolicy::Dynamic;
+  cfg.max_depth = bm.suggested_bound;
+  const BmcResult r = BmcEngine(loaded, cfg).run();
   ASSERT_EQ(r.status, BmcResult::Status::CounterexampleFound);
   EXPECT_EQ(r.counterexample_depth, bm.expect_depth);
   EXPECT_TRUE(validate_trace(loaded, *r.counterexample));

@@ -180,8 +180,7 @@ TEST_F(TraceTest, KindMetadataIsTotal) {
       EventKind::JobStart,     EventKind::JobVerdict,
       EventKind::CancelRequest, EventKind::JobStop,
       EventKind::PoolPublish,  EventKind::PoolClose,
-      EventKind::RankPublish,  EventKind::SpanPreprocess,
-      EventKind::SpanVivify};
+      EventKind::RankPublish,  EventKind::SpanPreprocess};
   for (const EventKind k : kinds) {
     EXPECT_STRNE(to_string(k), "");
     const std::string cat = category(k);
@@ -192,7 +191,6 @@ TEST_F(TraceTest, KindMetadataIsTotal) {
   EXPECT_TRUE(is_span(EventKind::ImportBatch));
   EXPECT_TRUE(is_span(EventKind::RankRefresh));
   EXPECT_TRUE(is_span(EventKind::SpanPreprocess));
-  EXPECT_TRUE(is_span(EventKind::SpanVivify));
   EXPECT_FALSE(is_span(EventKind::Restart));
   EXPECT_FALSE(is_span(EventKind::PoolPublish));
 }

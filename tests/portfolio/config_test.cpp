@@ -4,6 +4,8 @@
 
 #include <algorithm>
 #include <thread>
+#include <utility>
+#include <vector>
 
 #include "portfolio/scheduler.hpp"
 #include "util/options.hpp"
@@ -133,6 +135,32 @@ TEST(ResolveTest, UnknownPolicyThrows) {
   PortfolioConfig cfg;
   cfg.policies = {"dynamic", "nope"};
   EXPECT_THROW(resolve(cfg), std::invalid_argument);
+}
+
+TEST(ResolveTest, RejectsWhatTheCliRejects) {
+  // api::check and JobServer::submit reach resolve() without
+  // from_options, so the range checks must hold here too.
+  const std::vector<std::pair<const char*, void (*)(PortfolioConfig&)>>
+      bad_values{
+          {"threads 0", [](PortfolioConfig& c) { c.num_threads = 0; }},
+          {"share_cap 0", [](PortfolioConfig& c) { c.share_cap = 0; }},
+          {"tier below glue",
+           [](PortfolioConfig& c) {
+             c.glue_lbd = 5;
+             c.tier_lbd = 4;
+           }},
+          {"bve_budget 0", [](PortfolioConfig& c) { c.bve_budget = 0; }},
+          {"depth -1", [](PortfolioConfig& c) { c.max_depth = -1; }},
+          {"mem_ceiling -1", [](PortfolioConfig& c) { c.mem_ceiling_mb = -1; }},
+          {"empty lineup", [](PortfolioConfig& c) { c.policies.clear(); }},
+          {"repeated policy",
+           [](PortfolioConfig& c) { c.policies = {"dynamic", "dynamic"}; }},
+      };
+  for (const auto& [name, mutate] : bad_values) {
+    PortfolioConfig cfg;
+    mutate(cfg);
+    EXPECT_THROW(resolve(cfg), std::invalid_argument) << name;
+  }
 }
 
 TEST(ResolveTest, DefaultRaceLineupSkipsReplace) {
@@ -275,20 +303,14 @@ TEST(PortfolioConfigTest, PreprocessDefaultsOnAndParses) {
   const PortfolioConfig defaults = PortfolioConfig::from_options(parse({}));
   EXPECT_TRUE(defaults.preprocess);
   EXPECT_EQ(defaults.bve_budget, 16);
-  EXPECT_EQ(defaults.vivify_interval, 8);
 
   const PortfolioConfig cfg = PortfolioConfig::from_options(
-      parse({"--preprocess", "off", "--bve-budget", "32",
-             "--vivify-interval", "0"}));
+      parse({"--preprocess", "off", "--bve-budget", "32"}));
   EXPECT_FALSE(cfg.preprocess);
   EXPECT_EQ(cfg.bve_budget, 32);
-  EXPECT_EQ(cfg.vivify_interval, 0);
 
   EXPECT_THROW(PortfolioConfig::from_options(parse({"--bve-budget", "0"})),
                std::invalid_argument);
-  EXPECT_THROW(
-      PortfolioConfig::from_options(parse({"--vivify-interval", "-1"})),
-      std::invalid_argument);
   EXPECT_THROW(PortfolioConfig::from_options(parse({"--preprocess", "maybe"})),
                std::invalid_argument);
 }
@@ -297,18 +319,13 @@ TEST(ResolveTest, PreprocessKnobsResolve) {
   PortfolioConfig cfg;
   cfg.preprocess = true;
   cfg.bve_budget = 24;
-  cfg.vivify_interval = 3;
   const ResolvedPortfolio on = resolve(cfg);
   EXPECT_TRUE(on.engine.preprocess.enabled);
   EXPECT_EQ(on.engine.preprocess.bve_budget, 24);
-  EXPECT_EQ(on.engine.solver.inprocess.vivify_interval, 3);
 
-  // --preprocess off must restore the pre-PR pipeline bit for bit, so it
-  // also forces vivification off regardless of --vivify-interval.
   cfg.preprocess = false;
   const ResolvedPortfolio off = resolve(cfg);
   EXPECT_FALSE(off.engine.preprocess.enabled);
-  EXPECT_EQ(off.engine.solver.inprocess.vivify_interval, 0);
 }
 
 TEST(ResolveTest, RankSharingKnobResolves) {

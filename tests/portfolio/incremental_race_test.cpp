@@ -22,7 +22,6 @@ bmc::EngineConfig incremental_engine(const model::Benchmark& bm,
   cfg.incremental = true;
   cfg.preprocess.enabled = preprocess;
   cfg.solver.assumption_savepoint = true;
-  if (preprocess) cfg.solver.inprocess.vivify_interval = 4;
   return cfg;
 }
 

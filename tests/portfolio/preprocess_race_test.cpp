@@ -21,7 +21,6 @@ bmc::EngineConfig engine_for(const model::Benchmark& bm, bool preprocess) {
   bmc::EngineConfig cfg;
   cfg.max_depth = bm.suggested_bound;
   cfg.preprocess.enabled = preprocess;
-  if (preprocess) cfg.solver.inprocess.vivify_interval = 4;
   return cfg;
 }
 

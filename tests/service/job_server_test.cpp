@@ -3,6 +3,7 @@
 // guarantees on top of api::check.
 #include <chrono>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -270,6 +271,29 @@ TEST(JobServerTest, InvalidRequestsAreRejectedUpFront) {
   const SubmitOutcome o2 = server.submit(std::move(bad_policy));
   EXPECT_FALSE(o2.accepted);
   EXPECT_EQ(o2.reason, RejectReason::InvalidRequest);
+
+  // Every range check the CLI applies holds at admission too, so none of
+  // these reaches an executor.
+  const std::vector<std::pair<const char*, void (*)(api::RaceOptions&)>>
+      bad_values{
+          {"threads 0", [](api::RaceOptions& o) { o.threads(0); }},
+          {"share_cap 0", [](api::RaceOptions& o) { o.share_cap(0); }},
+          {"tier below glue",
+           [](api::RaceOptions& o) { o.glue_lbd(5).tier_lbd(4); }},
+          {"bve_budget 0", [](api::RaceOptions& o) { o.bve_budget(0); }},
+          {"depth -1", [](api::RaceOptions& o) { o.max_depth(-1); }},
+          {"mem_ceiling -1", [](api::RaceOptions& o) { o.mem_ceiling_mb(-1); }},
+          {"empty lineup", [](api::RaceOptions& o) { o.policies({}); }},
+          {"repeated policy",
+           [](api::RaceOptions& o) { o.policies({"dynamic", "dynamic"}); }},
+      };
+  for (const auto& [name, mutate] : bad_values) {
+    api::CheckRequest request = quick_request();
+    mutate(request.options);
+    const SubmitOutcome o = server.submit(std::move(request));
+    EXPECT_FALSE(o.accepted) << name;
+    EXPECT_EQ(o.reason, RejectReason::InvalidRequest) << name;
+  }
 }
 
 TEST(JobServerTest, ShutdownCancelsTheQueueAndRejectsNewWork) {

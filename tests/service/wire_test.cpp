@@ -131,7 +131,6 @@ TEST(WireOptionsTest, RaceOptionsSurviveTheRoundTrip) {
       .core_weighting("exp-decay")
       .preprocess(false)
       .bve_budget(5)
-      .vivify_interval(2)
       .assumption_savepoint(false);
 
   JsonWriter w;
