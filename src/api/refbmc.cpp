@@ -58,10 +58,6 @@ RaceOptions& RaceOptions::bad_mode(bmc::BadMode mode) {
   bad_mode_ = mode;
   return *this;
 }
-RaceOptions& RaceOptions::decision(const std::string& mode) {
-  cli_.decision = mode;
-  return *this;
-}
 RaceOptions& RaceOptions::glue_lbd(int lbd) {
   cli_.glue_lbd = lbd;
   return *this;
@@ -100,10 +96,6 @@ RaceOptions& RaceOptions::preprocess(bool on) {
 }
 RaceOptions& RaceOptions::bve_budget(int occurrences) {
   cli_.bve_budget = occurrences;
-  return *this;
-}
-RaceOptions& RaceOptions::assumption_savepoint(bool on) {
-  cli_.assumption_savepoint = on;
   return *this;
 }
 RaceOptions& RaceOptions::mem_ceiling_mb(int mb) {
@@ -241,10 +233,8 @@ std::uint64_t config_fingerprint(const RaceOptions& options) {
   mix_double(0x14, r.engine.total_time_limit_sec);
   mix(0x15, r.engine.incremental ? 1 : 0);
   mix(0x16, static_cast<std::uint64_t>(r.engine.weighting));
-  mix(0x17, static_cast<std::uint64_t>(r.engine.solver.decision));
   mix(0x18, static_cast<std::uint64_t>(r.engine.solver.glue_lbd));
   mix(0x19, static_cast<std::uint64_t>(r.engine.solver.tier_lbd));
-  mix(0x1b, r.engine.solver.assumption_savepoint ? 1 : 0);
   mix(0x1c, static_cast<std::uint64_t>(r.num_threads));
   mix(0x1d, r.seed);
   mix(0x1e, r.sharing.enabled ? 1 : 0);

@@ -69,7 +69,6 @@ class RaceOptions {
   RaceOptions& incremental(bool on);
   RaceOptions& simplify(bool on);
   RaceOptions& bad_mode(bmc::BadMode mode);
-  RaceOptions& decision(const std::string& mode);  // chaff | evsids
   RaceOptions& glue_lbd(int lbd);
   RaceOptions& tier_lbd(int lbd);
   RaceOptions& share(bool on);
@@ -80,7 +79,6 @@ class RaceOptions {
   RaceOptions& core_weighting(const std::string& name);
   RaceOptions& preprocess(bool on);
   RaceOptions& bve_budget(int occurrences);
-  RaceOptions& assumption_savepoint(bool on);
   /// Formula-state memory ceiling in MiB (0 = unlimited); a breach ends
   /// the race with Status::ResourceLimit and mem_limit_hit set.
   RaceOptions& mem_ceiling_mb(int mb);
@@ -211,9 +209,10 @@ class ObservabilityScope {
 /// config component of the service's cache key.  Embeds
 /// bmc::formula_fingerprint (the shard GroupKey component), so the two
 /// layers can never disagree about formula identity; on top of it hashes
-/// the search-affecting knobs: policy lineup, threads, seed, budget,
-/// incremental mode, decision scorer, reduceDB tiers, the whole sharing
-/// family, the assumption savepoint and the memory ceiling.
+/// the search-affecting knobs: policy lineup (which also fixes each
+/// entrant's decision scorer), threads, seed, budget, incremental mode
+/// (which also fixes the assumption savepoint), reduceDB tiers, the
+/// whole sharing family and the memory ceiling.
 /// Observability settings (trace/metrics files) are deliberately
 /// excluded — they never change a verdict or a counter.
 std::uint64_t config_fingerprint(const RaceOptions& options);

@@ -108,28 +108,34 @@ BmcEngine::BmcEngine(const model::Netlist& net, EngineConfig config,
   tape_->set_mem_tracker(mem_);
 }
 
-sat::SolverConfig BmcEngine::solver_config_for_policy() const {
-  sat::SolverConfig scfg = config_.solver;
-  switch (config_.policy) {
+sat::SolverConfig solver_config_for(OrderingPolicy policy,
+                                    int dynamic_switch_divisor,
+                                    sat::SolverConfig base) {
+  base.decision = policy == OrderingPolicy::Evsids ? sat::DecisionMode::Evsids
+                                                   : sat::DecisionMode::Chaff;
+  switch (policy) {
     case OrderingPolicy::Baseline:
-      scfg.rank_mode = sat::RankMode::None;
+    case OrderingPolicy::Evsids:
+      base.rank_mode = sat::RankMode::None;
       break;
     case OrderingPolicy::Static:
     case OrderingPolicy::Shtrichman:
-      scfg.rank_mode = sat::RankMode::Static;
+      base.rank_mode = sat::RankMode::Static;
       break;
     case OrderingPolicy::Dynamic:
-      scfg.rank_mode = sat::RankMode::Dynamic;
+      base.rank_mode = sat::RankMode::Dynamic;
       break;
     case OrderingPolicy::Replace:
-      scfg.rank_mode = sat::RankMode::Replace;
-      break;
-    case OrderingPolicy::Evsids:
-      scfg.rank_mode = sat::RankMode::None;
-      scfg.decision = sat::DecisionMode::Evsids;
+      base.rank_mode = sat::RankMode::Replace;
       break;
   }
-  scfg.dynamic_switch_divisor = config_.dynamic_switch_divisor;
+  base.dynamic_switch_divisor = dynamic_switch_divisor;
+  return base;
+}
+
+sat::SolverConfig BmcEngine::solver_config_for_policy() const {
+  sat::SolverConfig scfg = solver_config_for(
+      config_.policy, config_.dynamic_switch_divisor, config_.solver);
   // Core tracking is what feeds the ranking refinement; the baseline
   // and the Shtrichman ordering do not need it (paper's standard BMC).
   scfg.track_cdg = uses_core_ranking() || config_.always_track_cdg;

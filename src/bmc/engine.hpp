@@ -22,7 +22,8 @@
 // The ordering policy selects how the rank feed is used by the solver:
 //   Baseline   — ignored (pure Chaff VSIDS; the paper's "standard BMC");
 //   Static     — primary sort key for the whole search (§3.3);
-//   Dynamic    — primary key until #decisions > #literals/64, then VSIDS;
+//   Dynamic    — primary key until the instance's #decisions >
+//                #literals/64, then VSIDS;
 //   Shtrichman — time-axis BFS ranks (related-work comparison), static.
 #pragma once
 
@@ -84,6 +85,14 @@ inline constexpr std::array<OrderingPolicy, 6> all_policies() {
 /// Inverse of to_string: parses a policy name (exactly as printed).
 /// Returns nullopt for unknown names.
 std::optional<OrderingPolicy> parse_policy(std::string_view name);
+
+/// The decision order `policy` asks of the solver, set over `base`: the
+/// scorer (Chaff for every policy but evsids), the rank mode (Shtrichman
+/// ranks statically) and the §3.3 switch divisor.  Every other field of
+/// `base` is kept.
+sat::SolverConfig solver_config_for(OrderingPolicy policy,
+                                    int dynamic_switch_divisor,
+                                    sat::SolverConfig base);
 
 struct DepthStats;
 
@@ -175,7 +184,8 @@ struct EngineConfig {
   /// cheap: it sits between depths, not inside the search, but a slow
   /// callback still delays the next depth.
   std::function<void(const DepthStats&)> on_depth;
-  /// Base solver knobs (restarts, reduceDB, VSIDS period, …).  rank_mode,
+  /// Base solver knobs (restarts, reduceDB, VSIDS period, …).  The
+  /// decision scorer and rank mode follow `policy` (solver_config_for);
   /// track_cdg and limits are overridden per instance by the engine.
   sat::SolverConfig solver;
 };
@@ -244,11 +254,12 @@ struct DepthStats {
   std::uint64_t vivified_literals = 0;
   std::uint64_t inprocess_us = 0;
   /// Incremental fast path at this depth (zero for scratch sessions or
-  /// with --assumption-savepoint off): solve() calls that resumed from a
-  /// kept assumption prefix vs. fell back to the root, decision levels
-  /// the resumes reused, and clauses the frame-retirement sweep freed
-  /// (flushes run inside prepare, batched — most depths read zero and
-  /// the flushing depth reads the whole batch).
+  /// with SolverConfig::assumption_savepoint off): solve() calls that
+  /// resumed from a kept assumption prefix vs. fell back to the root,
+  /// decision levels the resumes reused, and clauses the
+  /// frame-retirement sweep freed (flushes run inside prepare, batched —
+  /// most depths read zero and the flushing depth reads the whole
+  /// batch).
   std::uint64_t savepoint_hits = 0;
   std::uint64_t savepoint_misses = 0;
   std::uint64_t savepoint_levels_reused = 0;

@@ -77,29 +77,8 @@ InductionProver::InductionProver(const model::Netlist& net,
 InductionProver::SolveOutcome InductionProver::solve_instance(
     SharedTape& tape, int depth, bool is_step, CoreRanking& ranking, int k,
     std::uint64_t& decisions, std::uint64_t& conflicts, double deadline_sec) {
-  sat::SolverConfig scfg = config_.solver;
-  switch (config_.policy) {
-    case OrderingPolicy::Baseline:
-      scfg.rank_mode = sat::RankMode::None;
-      break;
-    case OrderingPolicy::Static:
-      scfg.rank_mode = sat::RankMode::Static;
-      break;
-    case OrderingPolicy::Dynamic:
-      scfg.rank_mode = sat::RankMode::Dynamic;
-      break;
-    case OrderingPolicy::Replace:
-      scfg.rank_mode = sat::RankMode::Replace;
-      break;
-    case OrderingPolicy::Shtrichman:
-      REFBMC_ASSERT(false);
-      break;
-    case OrderingPolicy::Evsids:
-      scfg.rank_mode = sat::RankMode::None;
-      scfg.decision = sat::DecisionMode::Evsids;
-      break;
-  }
-  scfg.dynamic_switch_divisor = config_.dynamic_switch_divisor;
+  sat::SolverConfig scfg = solver_config_for(
+      config_.policy, config_.dynamic_switch_divisor, config_.solver);
   scfg.track_cdg = config_.policy != OrderingPolicy::Baseline &&
                    config_.policy != OrderingPolicy::Evsids;
   scfg.conflict_limit = config_.per_instance_conflict_limit;

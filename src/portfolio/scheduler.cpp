@@ -438,11 +438,6 @@ ResolvedPortfolio resolve(const PortfolioConfig& cfg) {
   r.engine.incremental = cfg.incremental;
   r.engine.simplify = cfg.simplify;
   r.engine.total_time_limit_sec = cfg.budget_sec;
-  const auto decision = sat::parse_decision_mode(cfg.decision);
-  if (!decision)
-    throw std::invalid_argument("unknown decision mode '" + cfg.decision +
-                                "' (expected chaff or evsids)");
-  r.engine.solver.decision = *decision;
   r.engine.solver.glue_lbd = cfg.glue_lbd;
   r.engine.solver.tier_lbd = cfg.tier_lbd;
   const auto weighting = bmc::parse_core_weighting(cfg.core_weighting);
@@ -453,9 +448,9 @@ ResolvedPortfolio resolve(const PortfolioConfig& cfg) {
   r.engine.weighting = *weighting;
   r.engine.preprocess.enabled = cfg.preprocess;
   r.engine.preprocess.bve_budget = cfg.bve_budget;
-  // Scratch engines clear this themselves (solver_config_for_policy);
-  // the knob reaches only incremental sessions.
-  r.engine.solver.assumption_savepoint = cfg.assumption_savepoint;
+  // Incremental sessions resume from the common assumption prefix;
+  // scratch engines clear this themselves (solver_config_for_policy).
+  r.engine.solver.assumption_savepoint = true;
   r.engine.mem_ceiling_bytes =
       static_cast<std::uint64_t>(cfg.mem_ceiling_mb) * 1024 * 1024;
   r.sharing.enabled = cfg.share;

@@ -1,13 +1,28 @@
 #include "sat/decision.hpp"
 
-#include <vector>
+#include "util/assert.hpp"
 
 namespace refbmc::sat {
 
-std::optional<DecisionMode> parse_decision_mode(std::string_view name) {
-  for (const DecisionMode m : {DecisionMode::Chaff, DecisionMode::Evsids})
-    if (name == to_string(m)) return m;
-  return std::nullopt;
+DecisionQueue::DecisionQueue(DecisionMode scorer, RankMode rank_mode,
+                             int update_period, double decay)
+    : scorer_(scorer),
+      mode_(rank_mode),
+      update_period_(update_period),
+      decay_(decay) {
+  REFBMC_EXPECTS(update_period > 0);
+  REFBMC_EXPECTS(decay > 0.0 && decay < 1.0);
+}
+
+void DecisionQueue::add_var() {
+  const auto v = static_cast<Var>(rank_.size());
+  lit_score_.push_back(0.0);
+  lit_score_.push_back(0.0);
+  new_lits_.push_back(0);
+  new_lits_.push_back(0);
+  activity_.push_back(0.0);
+  rank_.push_back(0.0);
+  heap_.insert(v);
 }
 
 bool DecisionQueue::refresh_ranks(std::span<const double> rank_by_var) {
@@ -18,183 +33,51 @@ bool DecisionQueue::refresh_ranks(std::span<const double> rank_by_var) {
   return true;
 }
 
+bool DecisionQueue::on_decision(std::uint64_t num_original_literals,
+                                int switch_divisor) {
+  ++decisions_;
+  if (mode_ != RankMode::Dynamic || switched_) return false;
+  REFBMC_EXPECTS(switch_divisor > 0);
+  if (decisions_ >
+      num_original_literals / static_cast<std::uint64_t>(switch_divisor)) {
+    switched_ = true;
+    heap_.rebuild();  // primary key changed from rank to activity
+    return true;
+  }
+  return false;
+}
+
+void DecisionQueue::reset_switch() {
+  decisions_ = 0;
+  if (switched_) {
+    switched_ = false;
+    heap_.rebuild();
+  }
+}
+
 Lit DecisionQueue::pick_branch(const Trail& trail) {
-  while (!empty()) {
-    const Var v = pop();
-    if (trail.value(v) != l_Undef) continue;
-    const lbool saved = trail.saved_phase(v);
-    if (saved != l_Undef) return Lit::make(v, saved == l_False);
-    return pick_phase(v);
+  while (!heap_.empty()) {
+    const Var v = heap_.pop();
+    if (trail.value(v) == l_Undef) return pick_phase(v);
   }
   return kLitUndef;
 }
 
-namespace {
-
-// ---- Chaff ---------------------------------------------------------------
-//
-// A thin adapter over DecisionHeuristic: every ordering decision the
-// monolithic solver made is delegated unchanged, which is what keeps the
-// RankMode semantics bit-for-bit across the refactor.
-class ChaffQueue final : public DecisionQueue {
- public:
-  ChaffQueue(RankMode rank_mode, int update_period) : h_(update_period) {
-    h_.set_rank_mode(rank_mode);
+void DecisionQueue::halve_and_add() {
+  for (std::size_t i = 0; i < lit_score_.size(); ++i) {
+    lit_score_[i] = lit_score_[i] / 2.0 + static_cast<double>(new_lits_[i]);
+    new_lits_[i] = 0;
   }
+  for (Var v = 0; v < static_cast<Var>(activity_.size()); ++v)
+    refresh_chaff_activity(v);
+  // Scores moved wholesale; the heap order is stale.
+  heap_.rebuild();
+}
 
-  void add_var() override {
-    h_.add_var();
-    h_.insert(static_cast<Var>(h_.num_vars() - 1));
-  }
-  void set_rank_mode(RankMode mode) override { h_.set_rank_mode(mode); }
-  RankMode rank_mode() const override { return h_.rank_mode(); }
-  void set_rank(Var v, double score) override { h_.set_rank(v, score); }
-  void rebuild() override { h_.rebuild_heap(); }
-
-  void on_original_literal(Lit l) override { h_.on_original_literal(l); }
-  void on_learned_literal(Lit l) override { h_.on_learned_literal(l); }
-  void on_analyzed_var(Var) override {}  // Chaff scores learned literals
-  void on_conflict() override { h_.on_conflict(); }
-
-  bool on_decision(std::uint64_t num_decisions,
-                   std::uint64_t num_original_literals,
-                   int switch_divisor) override {
-    return h_.on_decision(num_decisions, num_original_literals,
-                          switch_divisor);
-  }
-  void reset_switch() override { h_.reset_switch(); }
-  bool rank_active() const override { return h_.rank_active(); }
-  bool switched() const override { return h_.switched(); }
-
-  void insert(Var v) override { h_.insert(v); }
-  bool empty() const override { return h_.heap_empty(); }
-  Var pop() override { return h_.pop(); }
-  Lit pick_phase(Var v) const override { return h_.pick_phase(v); }
-
- private:
-  DecisionHeuristic h_;
-};
-
-// ---- EVSIDS --------------------------------------------------------------
-class EvsidsQueue final : public DecisionQueue {
- public:
-  EvsidsQueue(RankMode rank_mode, double decay)
-      : mode_(rank_mode), decay_(decay) {
-    REFBMC_EXPECTS(decay > 0.0 && decay < 1.0);
-  }
-
-  void add_var() override {
-    activity_.push_back(0.0);
-    rank_.push_back(0.0);
-    pol_.push_back(0);
-    heap_.reserve_keys(static_cast<int>(activity_.size()));
-    heap_.insert(static_cast<Var>(activity_.size() - 1));
-  }
-  void set_rank_mode(RankMode mode) override { mode_ = mode; }
-  RankMode rank_mode() const override { return mode_; }
-  void set_rank(Var v, double score) override {
-    rank_[static_cast<std::size_t>(v)] = score;
-  }
-  void rebuild() override { heap_.rebuild(); }
-
-  void on_original_literal(Lit l) override { bump_polarity(l); }
-  void on_learned_literal(Lit l) override { bump_polarity(l); }
-  void on_analyzed_var(Var v) override {
-    auto& a = activity_[static_cast<std::size_t>(v)];
-    a += inc_;
-    if (a > 1e100) rescale();
-    heap_.update(v);
-  }
-  void on_conflict() override { inc_ /= decay_; }
-
-  bool on_decision(std::uint64_t num_decisions,
-                   std::uint64_t num_original_literals,
-                   int switch_divisor) override {
-    if (mode_ != RankMode::Dynamic || switched_) return false;
-    REFBMC_EXPECTS(switch_divisor > 0);
-    if (num_decisions > num_original_literals /
-                            static_cast<std::uint64_t>(switch_divisor)) {
-      switched_ = true;
-      heap_.rebuild();
-      return true;
-    }
-    return false;
-  }
-  void reset_switch() override {
-    if (switched_) {
-      switched_ = false;
-      heap_.rebuild();
-    }
-  }
-  bool rank_active() const override {
-    return mode_ == RankMode::Static || mode_ == RankMode::Replace ||
-           (mode_ == RankMode::Dynamic && !switched_);
-  }
-  bool switched() const override { return switched_; }
-
-  void insert(Var v) override {
-    if (!heap_.contains(v)) heap_.insert(v);
-  }
-  bool empty() const override { return heap_.empty(); }
-  Var pop() override { return heap_.pop(); }
-  Lit pick_phase(Var v) const override {
-    // Branch toward the polarity seen more often (positive wins ties),
-    // mirroring the Chaff literal-score preference.
-    return Lit::make(v, pol_[static_cast<std::size_t>(v)] < 0);
-  }
-
- private:
-  struct VarGreater {
-    const EvsidsQueue* q;
-    bool operator()(int a, int b) const { return q->var_greater(a, b); }
-  };
-
-  bool var_greater(Var a, Var b) const {
-    if (rank_active()) {
-      const double ra = rank_[static_cast<std::size_t>(a)];
-      const double rb = rank_[static_cast<std::size_t>(b)];
-      if (ra != rb) return ra > rb;
-      if (mode_ == RankMode::Replace) return a < b;
-    }
-    const double aa = activity_[static_cast<std::size_t>(a)];
-    const double ab = activity_[static_cast<std::size_t>(b)];
-    if (aa != ab) return aa > ab;
-    return a < b;  // deterministic total order
-  }
-
-  void bump_polarity(Lit l) { pol_[static_cast<std::size_t>(l.var())] +=
-                                  l.negated() ? -1 : 1; }
-
-  void rescale() {
-    for (auto& a : activity_) a *= 1e-100;
-    inc_ *= 1e-100;
-    // Uniform scaling preserves the heap order; no rebuild needed.
-  }
-
-  RankMode mode_;
-  double decay_;
-  double inc_ = 1.0;
-  bool switched_ = false;
-  std::vector<double> activity_;  // per var
-  std::vector<double> rank_;      // per var: bmc_score
-  std::vector<int> pol_;          // per var: positive minus negative seen
-  IndexedMaxHeap<VarGreater> heap_{VarGreater{this}};
-};
-
-}  // namespace
-
-std::unique_ptr<DecisionQueue> make_decision_queue(DecisionMode mode,
-                                                   RankMode rank_mode,
-                                                   int vsids_update_period,
-                                                   double evsids_decay) {
-  switch (mode) {
-    case DecisionMode::Chaff:
-      return std::make_unique<ChaffQueue>(rank_mode, vsids_update_period);
-    case DecisionMode::Evsids:
-      return std::make_unique<EvsidsQueue>(rank_mode, evsids_decay);
-  }
-  REFBMC_ASSERT_MSG(false, "invalid DecisionMode value");
+void DecisionQueue::rescale() {
+  for (double& a : activity_) a *= 1e-100;
+  inc_ *= 1e-100;
+  // Uniform scaling preserves the heap order; no rebuild needed.
 }
 
 }  // namespace refbmc::sat
-

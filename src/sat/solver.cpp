@@ -10,12 +10,9 @@ namespace refbmc::sat {
 
 Solver::Solver(SolverConfig config)
     : config_(config),
-      trail_(config.phase_saving),
       db_(config.clause_decay, config.glue_lbd, config.tier_lbd),
-      queue_(make_decision_queue(config.decision, config.rank_mode,
-                                 config.vsids_update_period,
-                                 config.evsids_decay)),
-      bump_analyzed_(config.decision == DecisionMode::Evsids) {
+      queue_(config.decision, config.rank_mode, config.vsids_update_period,
+             config.evsids_decay) {
   if (config_.mem_tracker != nullptr) {
     db_.arena().set_mem_tracker(config_.mem_tracker);
     prop_.set_mem_tracker(config_.mem_tracker);
@@ -27,15 +24,15 @@ Var Solver::new_var() {
   prop_.new_var();
   seen_.push_back(0);
   seen_closure_.push_back(0);
-  queue_->add_var();
+  queue_.add_var();
   return v;
 }
 
 void Solver::set_variable_rank(std::span<const double> rank_by_var) {
   REFBMC_EXPECTS(rank_by_var.size() <= static_cast<std::size_t>(num_vars()));
   for (std::size_t v = 0; v < rank_by_var.size(); ++v)
-    queue_->set_rank(static_cast<Var>(v), rank_by_var[v]);
-  queue_->rebuild();
+    queue_.set_rank(static_cast<Var>(v), rank_by_var[v]);
+  queue_.rebuild();
 }
 
 bool Solver::add_clause(const std::vector<Lit>& lits) {
@@ -64,7 +61,7 @@ bool Solver::add_clause(const std::vector<Lit>& lits) {
 
   if (tautology) return ok_;  // recorded but irrelevant to solving
 
-  for (const Lit l : c) queue_->on_original_literal(l);
+  for (const Lit l : c) queue_.on_original_literal(l);
 
   if (!ok_) return false;  // already unsat; id bookkeeping done above
 
@@ -134,7 +131,7 @@ bool Solver::add_clause(const std::vector<Lit>& lits) {
 }
 
 void Solver::backtrack(int level) {
-  trail_.cancel_until(level, [this](Var v) { queue_->insert(v); });
+  trail_.cancel_until(level, [this](Var v) { queue_.insert(v); });
 }
 
 void Solver::collect_reason_closure(Var v, std::vector<ClauseId>& antecedents) {
@@ -234,7 +231,7 @@ int Solver::analyze(ClauseRef confl, std::vector<Lit>& learnt,
       if (seen_[vq]) continue;
       if (trail_.level(q.var()) > 0) {
         seen_[vq] = 1;
-        if (bump_analyzed_) queue_->on_analyzed_var(q.var());
+        queue_.on_analyzed_var(q.var());
         analyze_toclear_.push_back(q);
         if (trail_.level(q.var()) >= trail_.decision_level()) {
           ++path_count;
@@ -348,7 +345,7 @@ void Solver::record_learned(const std::vector<Lit>& learnt, std::uint32_t lbd,
   ++stats_.learned_clauses;
   stats_.learned_literals += learnt.size();
   if (config_.track_cdg) cdg_.add_learned(id, antecedents);
-  for (const Lit l : learnt) queue_->on_learned_literal(l);
+  for (const Lit l : learnt) queue_.on_learned_literal(l);
 
   // Unit learned clauses are permanent root facts; they are not attached
   // (nothing to watch) and never deleted (unmanaged), but they do serve
@@ -473,7 +470,7 @@ void Solver::poll_rank_refresh() {
   REFBMC_ASSERT(trail_.decision_level() == 0);
   const std::span<const double> ranks = rank_refresh_->refresh();
   REFBMC_EXPECTS(ranks.size() <= static_cast<std::size_t>(num_vars()));
-  queue_->refresh_ranks(ranks);
+  queue_.refresh_ranks(ranks);
   ++stats_.rank_refreshes;
 }
 
@@ -529,7 +526,7 @@ Result Solver::solve(const std::vector<Lit>& assumptions) {
   for (const Lit a : assumptions_)
     REFBMC_EXPECTS_MSG(!a.is_undef() && a.var() < num_vars(),
                        "assumption over unknown variable");
-  queue_->reset_switch();
+  queue_.reset_switch();
   stats_.rank_switched = false;
   solved_unsat_ = false;
 
@@ -657,7 +654,7 @@ Result Solver::solve(const std::vector<Lit>& assumptions) {
         if (exchange_->export_clause(learnt, lbd)) ++stats_.clauses_exported;
       }
       db_.decay_activity();
-      queue_->on_conflict();
+      queue_.on_conflict();
 
       // Resource limits and cancellation, checked at conflicts for low
       // overhead (a relaxed atomic load per conflict is noise next to BCP).
@@ -736,7 +733,7 @@ Result Solver::solve(const std::vector<Lit>& assumptions) {
     }
 
     if (next == kLitUndef) {
-      next = queue_->pick_branch(trail_);
+      next = queue_.pick_branch(trail_);
       if (next == kLitUndef) {
         // All variables assigned: model found.
         model_ = trail_.assignments();
@@ -752,11 +749,11 @@ Result Solver::solve(const std::vector<Lit>& assumptions) {
         (stop_requested() || deadline.expired() ||
          (config_.mem_tracker != nullptr &&
           config_.mem_tracker->breached()))) {
-      queue_->insert(next.var());
+      queue_.insert(next.var());
       return finish(Result::Unknown);
     }
-    if (queue_->on_decision(stats_.decisions, db_.num_original_literals(),
-                            config_.dynamic_switch_divisor)) {
+    if (queue_.on_decision(db_.num_original_literals(),
+                           config_.dynamic_switch_divisor)) {
       stats_.rank_switched = true;
       REFBMC_TRACE_EVENT(obs::EventKind::DynamicFallback, -1,
                          static_cast<std::int64_t>(stats_.decisions));

@@ -1,8 +1,8 @@
 // CDCL SAT solver in the Chaff/MiniSat lineage, with the additions the
 // paper needs:
 //
-//  * Chaff-style VSIDS decision scores (periodic halve-and-add), pluggable
-//    external variable ranking (static / dynamic combination, §3.3);
+//  * Chaff-style VSIDS decision scores (periodic halve-and-add) combined
+//    with an external variable ranking (static / dynamic, §3.3);
 //  * a simplified Conflict-Dependency Graph recording, per learned clause,
 //    the pseudo-IDs of its antecedents (§3.1), kept independent of the
 //    clause database so reduceDB stays enabled;
@@ -18,8 +18,9 @@
 //                   (trail.hpp);
 //   Propagator    — two-watched-literal BCP with blocking literals and
 //                   inlined binary watch lists (propagator.hpp);
-//   DecisionQueue — pluggable decision ordering: Chaff VSIDS with the
-//                   refined-ordering rank feed, or EVSIDS (decision.hpp);
+//   DecisionQueue — the decision order: the refined-ordering rank first,
+//                   then Chaff or EVSIDS activity, with the §3.3
+//                   dynamic switch (decision.hpp);
 //   ClauseDB      — arena, clause-id space, LBD-tiered learned-clause
 //                   deletion with glue protection (clausedb.hpp).
 //
@@ -34,7 +35,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <memory>
 #include <span>
 #include <vector>
 
@@ -42,7 +42,6 @@
 #include "sat/clause.hpp"
 #include "sat/clausedb.hpp"
 #include "sat/decision.hpp"
-#include "sat/heuristic.hpp"
 #include "sat/propagator.hpp"
 #include "sat/stats.hpp"
 #include "sat/trail.hpp"
@@ -107,7 +106,8 @@ class RankRefresh {
 };
 
 struct SolverConfig {
-  // Decision ordering implementation (see decision.hpp).
+  // Decision scorer (see decision.hpp); the BMC layer derives it from
+  // the ordering policy.
   DecisionMode decision = DecisionMode::Chaff;
   // VSIDS (Chaff scorer)
   int vsids_update_period = 256;  // conflicts between score halvings
@@ -134,10 +134,6 @@ struct SolverConfig {
   // Conflict-dependency graph / core tracking (paper §3.1).  Turning this
   // off disables unsat_core() but removes the bookkeeping overhead.
   bool track_cdg = true;
-  // Phase saving: re-decide variables with their last assigned polarity
-  // instead of the Chaff literal-score phase.  Off by default (the paper
-  // predates phase saving; keeping it off stays faithful to Chaff).
-  bool phase_saving = false;
   // Assumption savepoint (incremental sessions): when successive solve()
   // calls share an assumption prefix, keep that prefix's trail levels
   // alive instead of backtracking to level 0 — solve start and restarts
@@ -200,7 +196,8 @@ class Solver {
 
   // ---- refined ordering ----------------------------------------------
   /// Sets the external per-variable rank (bmc_score).  Only meaningful
-  /// with rank_mode Static or Dynamic.  Missing entries default to 0.
+  /// with rank_mode Static, Dynamic or Replace.  Missing entries default
+  /// to 0.
   void set_variable_rank(std::span<const double> rank_by_var);
 
   /// Adjusts the per-solve resource limits (useful between incremental
@@ -289,7 +286,6 @@ class Solver {
   const Trail& trail() const { return trail_; }
   const Propagator& propagator() const { return prop_; }
   const ClauseDB& clause_db() const { return db_; }
-  const DecisionQueue& decision_queue() const { return *queue_; }
 
  private:
   // -- BCP (delegated to the Propagator) -----------------------------------
@@ -347,7 +343,7 @@ class Solver {
   Trail trail_;
   Propagator prop_;
   ClauseDB db_;
-  std::unique_ptr<DecisionQueue> queue_;
+  DecisionQueue queue_;
   ConflictDependencyGraph cdg_;
 
   std::vector<Lit> assumptions_;       // active during a solve() call
@@ -375,10 +371,6 @@ class Solver {
   int savepoint_levels_ = 0;
   // Per-variable frame-guard state: 0 = not a guard, 1 = live, 2 = dead.
   std::vector<char> guard_state_;
-  /// Whether the decision queue wants per-variable analysis bumps (the
-  /// EVSIDS scorer); cached to keep the no-op virtual hop out of the
-  /// analyze loop for Chaff.
-  bool bump_analyzed_ = false;
 };
 
 }  // namespace refbmc::sat

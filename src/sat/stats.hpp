@@ -24,7 +24,6 @@ struct SolverStats {
   /// Root-false literals dropped in place from kept learned clauses
   /// during reduceDB (only with track_cdg off; see Solver::reduce_db).
   std::uint64_t strengthened_literals = 0;
-  std::uint64_t vsids_updates = 0;
   std::uint64_t reduce_db_runs = 0;
   /// Lemma sharing (portfolio clause exchange; zero without an attached
   /// ClauseExchange): learned clauses the exchange accepted (filter

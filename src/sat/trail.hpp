@@ -2,10 +2,10 @@
 //
 // Owns everything that describes the current partial assignment — the
 // value of every literal, and per variable its decision level and reason
-// clause — plus the assignment stack itself, the decision-level frames,
-// the propagation queue head, and (optionally) saved phases.  The
-// Propagator consumes the queue, the Solver drives decisions and
-// backtracking; neither owns assignment state.
+// clause — plus the assignment stack itself, the decision-level frames
+// and the propagation queue head.  The Propagator consumes the queue,
+// the Solver drives decisions and backtracking; neither owns assignment
+// state.
 //
 // Values are stored per literal (one byte at Lit::index()), so the BCP
 // hot path reads a literal's value with a single load and no sign flip;
@@ -27,10 +27,6 @@ namespace refbmc::sat {
 
 class Trail {
  public:
-  /// When true, cancel_until records each unassigned variable's polarity
-  /// so the decision layer can re-decide it the same way.
-  explicit Trail(bool phase_saving = false) : phase_saving_(phase_saving) {}
-
   // ---- variables -----------------------------------------------------
   Var new_var() {
     const Var v = num_vars();
@@ -38,7 +34,6 @@ class Trail {
     vals_.push_back(l_Undef);  // negative literal
     level_.push_back(0);
     reason_.push_back(kClauseRefUndef);
-    saved_phase_.push_back(0);
     return v;
   }
   int num_vars() const { return static_cast<int>(level_.size()); }
@@ -103,7 +98,6 @@ class Trail {
     for (int i = static_cast<int>(trail_.size()) - 1; i >= bound; --i) {
       const Lit l = trail_[static_cast<std::size_t>(i)];
       const auto v = static_cast<std::size_t>(l.var());
-      if (phase_saving_) saved_phase_[v] = l.negated() ? 2 : 1;
       vals_[static_cast<std::size_t>(l.index())] = l_Undef;
       vals_[static_cast<std::size_t>((~l).index())] = l_Undef;
       reason_[v] = kClauseRefUndef;
@@ -112,12 +106,6 @@ class Trail {
     trail_.resize(static_cast<std::size_t>(bound));
     lim_.resize(static_cast<std::size_t>(level));
     if (qhead_ > bound) qhead_ = bound;
-  }
-
-  /// Saved polarity of v: l_Undef when never assigned (or saving off).
-  lbool saved_phase(Var v) const {
-    const char s = saved_phase_[static_cast<std::size_t>(v)];
-    return s == 0 ? l_Undef : s == 1 ? l_True : l_False;
   }
 
   /// Per-variable copy of the assignment (the model, when complete).
@@ -129,11 +117,9 @@ class Trail {
       const std::vector<std::pair<ClauseRef, ClauseRef>>& map);
 
  private:
-  bool phase_saving_;
   std::vector<lbool> vals_;        // per Lit::index()
   std::vector<int> level_;         // per var
   std::vector<ClauseRef> reason_;  // per var
-  std::vector<char> saved_phase_;  // per var: 0 none, 1 true, 2 false
   std::vector<Lit> trail_;
   std::vector<int> lim_;  // trail size at each decision level start
   int qhead_ = 0;

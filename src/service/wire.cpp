@@ -386,7 +386,6 @@ void write_race_options(JsonWriter& w, const api::RaceOptions& options) {
   w.kv("incremental", c.incremental);
   w.kv("simplify", c.simplify);
   w.kv("any_frame", options.bad_mode() == bmc::BadMode::Any);
-  w.kv("decision", c.decision);
   w.kv("glue_lbd", c.glue_lbd);
   w.kv("tier_lbd", c.tier_lbd);
   w.kv("share", c.share);
@@ -397,7 +396,6 @@ void write_race_options(JsonWriter& w, const api::RaceOptions& options) {
   w.kv("core_weighting", c.core_weighting);
   w.kv("preprocess", c.preprocess);
   w.kv("bve_budget", c.bve_budget);
-  w.kv("assumption_savepoint", c.assumption_savepoint);
   w.end_object();
 }
 
@@ -419,7 +417,6 @@ api::RaceOptions parse_race_options(const JsonValue& obj) {
   o.incremental(obj.get_bool("incremental", defaults.incremental));
   o.simplify(obj.get_bool("simplify", defaults.simplify));
   if (obj.get_bool("any_frame", false)) o.bad_mode(bmc::BadMode::Any);
-  o.decision(obj.get_string("decision", defaults.decision));
   o.glue_lbd(static_cast<int>(obj.get_int("glue_lbd", defaults.glue_lbd)));
   o.tier_lbd(static_cast<int>(obj.get_int("tier_lbd", defaults.tier_lbd)));
   o.share(obj.get_bool("share", defaults.share));
@@ -432,8 +429,6 @@ api::RaceOptions parse_race_options(const JsonValue& obj) {
   o.preprocess(obj.get_bool("preprocess", defaults.preprocess));
   o.bve_budget(
       static_cast<int>(obj.get_int("bve_budget", defaults.bve_budget)));
-  o.assumption_savepoint(
-      obj.get_bool("assumption_savepoint", defaults.assumption_savepoint));
   return o;
 }
 

@@ -95,7 +95,6 @@ PortfolioConfig PortfolioConfig::from_options(const Options& opts) {
   }
   cfg.incremental = opts.get_bool("incremental", cfg.incremental);
   cfg.simplify = opts.get_bool("simplify", cfg.simplify);
-  cfg.decision = opts.get("decision", cfg.decision);
   cfg.glue_lbd = opts.get_int("glue-lbd", cfg.glue_lbd);
   cfg.tier_lbd = opts.get_int("tier-lbd", cfg.tier_lbd);
   cfg.share = opts.get_bool("share", cfg.share);
@@ -111,8 +110,6 @@ PortfolioConfig PortfolioConfig::from_options(const Options& opts) {
   cfg.core_weighting = opts.get("core-weighting", cfg.core_weighting);
   cfg.preprocess = opts.get_bool("preprocess", cfg.preprocess);
   cfg.bve_budget = opts.get_int("bve-budget", cfg.bve_budget);
-  cfg.assumption_savepoint =
-      opts.get_bool("assumption-savepoint", cfg.assumption_savepoint);
   cfg.mem_ceiling_mb = opts.get_int("mem-ceiling", cfg.mem_ceiling_mb);
   cfg.trace_file = opts.get("trace", cfg.trace_file);
   cfg.trace_buffer_kb = opts.get_int("trace-buffer-kb", cfg.trace_buffer_kb);

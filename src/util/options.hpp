@@ -49,9 +49,8 @@ struct PortfolioConfig {
   std::uint64_t seed = 1;    // base RNG seed; worker w uses seed + w
   bool incremental = false;  // per-job incremental SAT mode
   bool simplify = true;      // frame-wise formula simplification
-  /// Solver-core knobs, kept as strings/ints at the CLI level (util
-  /// cannot depend on sat); the portfolio layer resolves and validates.
-  std::string decision = "chaff";  // decision scorer: chaff | evsids
+  /// Solver-core knobs; the portfolio layer validates them.  The
+  /// decision scorer follows the ordering policy.
   int glue_lbd = 2;   // learned clauses at or below this LBD never deleted
   int tier_lbd = 6;   // mid-tier LBD boundary of reduceDB
   /// Portfolio lemma sharing (clause exchange between racing solvers /
@@ -75,12 +74,6 @@ struct PortfolioConfig {
   /// pipeline bit for bit.
   bool preprocess = true;   // --preprocess on|off
   int bve_budget = 16;      // --bve-budget: max occurrences of an elim var
-  /// Incremental-session fast path (PR 8): successive solve() calls
-  /// resume from the longest common assumption prefix instead of the
-  /// root, and frame retirements are batched through an arena sweep.
-  /// `--assumption-savepoint off` restores the per-depth root restart
-  /// bit for bit.  No effect on scratch sessions.
-  bool assumption_savepoint = true;  // --assumption-savepoint on|off
   /// Core-score weighting of §3.2 (the ablation knob), as a name (util
   /// cannot depend on bmc; the portfolio layer resolves and validates):
   /// linear | uniform | last-only | exp-decay.
@@ -101,14 +94,14 @@ struct PortfolioConfig {
   std::string metrics_file;   // --metrics FILE ("" = metrics off)
 
   /// Reads `--threads`, `--policies a,b,c`, `--depth`, `--budget`,
-  /// `--seed`, `--incremental`, `--simplify 0|1`, `--decision chaff|evsids`,
-  /// `--glue-lbd`, `--tier-lbd`, `--share 0|1`, `--share-lbd`,
-  /// `--share-size`, `--share-cap`, `--share-rank 0|1`,
-  /// `--core-weighting W`, `--preprocess 0|1`, `--bve-budget N`,
-  /// `--assumption-savepoint 0|1`, `--mem-ceiling MB`, `--trace FILE`,
-  /// `--trace-buffer-kb KB`,
-  /// `--metrics FILE`; absent options keep the defaults above
-  /// (share_rank defaulting off when the host has one hardware thread).
+  /// `--seed`, `--incremental`, `--simplify 0|1`, `--glue-lbd`,
+  /// `--tier-lbd`, `--share 0|1`, `--share-lbd`, `--share-size`,
+  /// `--share-cap`, `--share-rank 0|1`, `--core-weighting W`,
+  /// `--preprocess 0|1`, `--bve-budget N`, `--mem-ceiling MB`,
+  /// `--trace FILE`, `--trace-buffer-kb KB`, `--metrics FILE`; absent
+  /// options keep the defaults above (share_rank defaulting off when the
+  /// host has one hardware thread).  Unknown options are ignored, among
+  /// them the retired flags for the decision scorer and the savepoint.
   /// Throws std::invalid_argument on non-numeric numbers and on what
   /// validate() rejects.
   static PortfolioConfig from_options(const Options& opts);

@@ -129,7 +129,6 @@ TEST(FacadeTest, FingerprintCoversEveryKnob) {
       {"incremental", [](RaceOptions& o) { o.incremental(true); }},
       {"simplify", [](RaceOptions& o) { o.simplify(false); }},
       {"bad_mode", [](RaceOptions& o) { o.bad_mode(bmc::BadMode::Any); }},
-      {"decision", [](RaceOptions& o) { o.decision("evsids"); }},
       {"glue_lbd", [](RaceOptions& o) { o.glue_lbd(3); }},
       {"tier_lbd", [](RaceOptions& o) { o.tier_lbd(7); }},
       {"share", [](RaceOptions& o) { o.share(false); }},
@@ -141,8 +140,6 @@ TEST(FacadeTest, FingerprintCoversEveryKnob) {
        [](RaceOptions& o) { o.core_weighting("uniform"); }},
       {"preprocess", [](RaceOptions& o) { o.preprocess(false); }},
       {"bve_budget", [](RaceOptions& o) { o.bve_budget(4); }},
-      {"assumption_savepoint",
-       [](RaceOptions& o) { o.assumption_savepoint(false); }},
   };
   for (const auto& [name, mutate] : knobs) {
     RaceOptions o;

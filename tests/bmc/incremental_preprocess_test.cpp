@@ -64,8 +64,8 @@ TEST(IncrementalPreprocessTest, MatrixMatchesScratchOnQuickSuite) {
 }
 
 TEST(IncrementalPreprocessTest, KnobsOffIsBitIdenticalToLegacyIncremental) {
-  // `--preprocess off` + `--assumption-savepoint off` must reproduce the
-  // PR 7 incremental pipeline counter for counter.  Both knobs default
+  // Preprocessing off + the solver's assumption savepoint off must
+  // reproduce the PR 7 incremental pipeline counter for counter.  Both knobs default
   // off at the EngineConfig level, so the default-config run IS the
   // legacy path; the explicit-off run must match it per depth.
   for (const auto& bm :

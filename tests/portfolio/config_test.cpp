@@ -173,29 +173,25 @@ TEST(ResolveTest, DefaultRaceLineupSkipsReplace) {
             lineup.end());
 }
 
-TEST(ResolveTest, DecisionModeAndLbdTiersResolve) {
+TEST(ResolveTest, LbdTiersResolve) {
   PortfolioConfig cfg;
-  cfg.decision = "evsids";
   cfg.glue_lbd = 3;
   cfg.tier_lbd = 8;
   const ResolvedPortfolio r = resolve(cfg);
-  EXPECT_EQ(r.engine.solver.decision, sat::DecisionMode::Evsids);
   EXPECT_EQ(r.engine.solver.glue_lbd, 3);
   EXPECT_EQ(r.engine.solver.tier_lbd, 8);
 }
 
-TEST(ResolveTest, UnknownDecisionModeThrows) {
-  PortfolioConfig cfg;
-  cfg.decision = "vsids2";
-  EXPECT_THROW(resolve(cfg), std::invalid_argument);
-}
-
-TEST(PortfolioConfigTest, ParsesDecisionAndLbdKnobs) {
+TEST(PortfolioConfigTest, ParsesLbdKnobsAndIgnoresRetiredFlags) {
+  // The decision scorer follows the policy and the assumption savepoint
+  // follows --incremental, so an old command line with --decision or
+  // --assumption-savepoint still parses, the flags ignored.
   const PortfolioConfig cfg = PortfolioConfig::from_options(
-      parse({"--decision", "evsids", "--glue-lbd", "3", "--tier-lbd", "9"}));
-  EXPECT_EQ(cfg.decision, "evsids");
+      parse({"--decision", "evsids", "--assumption-savepoint", "off",
+             "--glue-lbd", "3", "--tier-lbd", "9"}));
   EXPECT_EQ(cfg.glue_lbd, 3);
   EXPECT_EQ(cfg.tier_lbd, 9);
+  EXPECT_TRUE(resolve(cfg).engine.solver.assumption_savepoint);
 }
 
 TEST(PortfolioConfigTest, RejectsTierBelowGlue) {

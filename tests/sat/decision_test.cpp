@@ -1,9 +1,11 @@
-// The DecisionQueue layer: mode parsing, the Chaff adapter's parity with
-// DecisionHeuristic semantics, the EVSIDS scorer, and both queues under
-// the rank feed — plus the EVSIDS-configured solver end to end.
+// The DecisionQueue's EVSIDS scorer (analysis bumps, polarity counts)
+// and pick_branch — plus the EVSIDS-scored solver end to end.  The Chaff
+// scorer, the rank modes and the §3.3 switch are in heuristic_test.
 #include "sat/decision.hpp"
 
 #include <gtest/gtest.h>
+
+#include <memory>
 
 #include "../helpers.hpp"
 #include "sat/reference_solver.hpp"
@@ -16,37 +18,17 @@ using test::load;
 using test::model_satisfies;
 using test::pigeonhole;
 
-std::unique_ptr<DecisionQueue> make(DecisionMode mode, RankMode rank,
+// The queue is pinned in place (its heap comparator captures `this`),
+// so tests allocate it behind a unique_ptr.
+std::unique_ptr<DecisionQueue> make(DecisionMode scorer, RankMode rank,
                                     int nvars) {
-  auto q = make_decision_queue(mode, rank, /*vsids_update_period=*/256,
-                               /*evsids_decay=*/0.95);
+  auto q = std::make_unique<DecisionQueue>(scorer, rank,
+                                           /*update_period=*/256);
   for (int i = 0; i < nvars; ++i) q->add_var();
   return q;
 }
 
-TEST(DecisionModeTest, ParseRoundTrip) {
-  for (const DecisionMode m : {DecisionMode::Chaff, DecisionMode::Evsids}) {
-    const auto parsed = parse_decision_mode(to_string(m));
-    ASSERT_TRUE(parsed.has_value());
-    EXPECT_EQ(*parsed, m);
-  }
-  EXPECT_FALSE(parse_decision_mode("vsids").has_value());
-  EXPECT_FALSE(parse_decision_mode("").has_value());
-}
-
-TEST(DecisionQueueTest, ChaffOrdersByLiteralCounts) {
-  auto q = make(DecisionMode::Chaff, RankMode::None, 3);
-  q->on_original_literal(Lit::make(1));
-  q->on_original_literal(Lit::make(1));
-  q->on_original_literal(Lit::make(2));
-  // Literal seeding does not sift the heap (matching the monolithic
-  // solver); a rebuild realizes the order.
-  q->rebuild();
-  EXPECT_EQ(q->pop(), 1);
-  EXPECT_EQ(q->pop(), 2);
-  EXPECT_EQ(q->pop(), 0);
-  EXPECT_TRUE(q->empty());
-}
+// ---- the EVSIDS scorer -----------------------------------------------------
 
 TEST(DecisionQueueTest, EvsidsOrdersByAnalysisBumps) {
   auto q = make(DecisionMode::Evsids, RankMode::None, 3);
@@ -70,62 +52,22 @@ TEST(DecisionQueueTest, EvsidsPhaseFollowsPolarityCounts) {
   EXPECT_EQ(q->pick_phase(0), Lit::make(0, true));
 }
 
-TEST(DecisionQueueTest, RankDominatesBothImplementations) {
-  for (const DecisionMode m : {DecisionMode::Chaff, DecisionMode::Evsids}) {
-    SCOPED_TRACE(to_string(m));
-    auto q = make(m, RankMode::Static, 2);
-    // var0 gets all the activity, var1 the rank: rank wins while active.
-    for (int i = 0; i < 10; ++i) q->on_original_literal(Lit::make(0));
-    q->on_analyzed_var(0);
-    q->set_rank(1, 5.0);
-    q->rebuild();
-    EXPECT_TRUE(q->rank_active());
-    EXPECT_EQ(q->pop(), 1);
-    EXPECT_EQ(q->pop(), 0);
-  }
-}
+// ---- pick_branch -----------------------------------------------------------
 
-TEST(DecisionQueueTest, DynamicSwitchMatchesAcrossImplementations) {
-  for (const DecisionMode m : {DecisionMode::Chaff, DecisionMode::Evsids}) {
-    SCOPED_TRACE(to_string(m));
-    auto q = make(m, RankMode::Dynamic, 2);
-    q->set_rank(1, 100.0);
-    q->rebuild();
-    EXPECT_TRUE(q->rank_active());
-    // 1000 original literals, divisor 64 → threshold 15 decisions.
-    EXPECT_FALSE(q->on_decision(15, 1000, 64));
-    EXPECT_TRUE(q->rank_active());
-    EXPECT_TRUE(q->on_decision(16, 1000, 64));
-    EXPECT_FALSE(q->rank_active());
-    EXPECT_TRUE(q->switched());
-    EXPECT_FALSE(q->on_decision(17, 1000, 64));  // fires once
-    q->reset_switch();
-    EXPECT_TRUE(q->rank_active());
-  }
-}
-
-TEST(DecisionQueueTest, PickBranchSkipsAssignedAndUsesSavedPhase) {
+TEST(DecisionQueueTest, PickBranchSkipsAssigned) {
   auto q = make(DecisionMode::Evsids, RankMode::None, 3);
   q->on_analyzed_var(2);  // highest priority
-  Trail trail(/*phase_saving=*/true);
+  Trail trail;
   for (int i = 0; i < 3; ++i) trail.new_var();
   trail.new_decision_level();
-  trail.assign(Lit::make(2), kClauseRefUndef);
-  trail.cancel_until(0, [](Var) {});  // phase of var2 saved as true
-  trail.new_decision_level();
-  trail.assign(Lit::make(2, true), kClauseRefUndef);  // now assigned false
+  trail.assign(Lit::make(2, true), kClauseRefUndef);
   // var2 is assigned: pick_branch must skip it and return var0 or var1.
   const Lit picked = q->pick_branch(trail);
   ASSERT_FALSE(picked.is_undef());
   EXPECT_NE(picked.var(), 2);
-
-  // Re-insert everything; with var2 free again, the saved phase rules.
-  q->insert(2);
-  trail.cancel_until(0, [](Var) {});  // saves false for var2
-  EXPECT_EQ(q->pick_branch(trail), Lit::make(2, true));
 }
 
-// ---- the EVSIDS solver end to end ----------------------------------------
+// ---- the EVSIDS solver end to end ------------------------------------------
 
 SolverConfig evsids_config() {
   SolverConfig cfg;

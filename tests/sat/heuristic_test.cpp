@@ -1,174 +1,189 @@
-#include "sat/heuristic.hpp"
+// The decision heuristic as the DecisionQueue runs it: the Chaff scorer
+// (literal counts, halve-and-add, phase), the rank modes and the §3.3
+// switch — the rank cases over either scorer, since both share one copy
+// of the rank and switch logic.
+#include "sat/decision.hpp"
 
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <stdexcept>
 
 namespace refbmc::sat {
 namespace {
 
-// DecisionHeuristic is pinned in place (its heap comparator captures
-// `this`), so tests allocate it behind a unique_ptr.
-std::unique_ptr<DecisionHeuristic> make_heuristic(int nvars,
-                                                  int period = 256) {
-  auto h = std::make_unique<DecisionHeuristic>(period);
-  for (int i = 0; i < nvars; ++i) h->add_var();
-  return h;
+constexpr DecisionMode kScorers[] = {DecisionMode::Chaff,
+                                     DecisionMode::Evsids};
+
+const char* scorer_name(DecisionMode m) {
+  return m == DecisionMode::Chaff ? "chaff" : "evsids";
 }
 
+// The queue is pinned in place (its heap comparator captures `this`),
+// so tests allocate it behind a unique_ptr.
+std::unique_ptr<DecisionQueue> make(DecisionMode scorer, RankMode rank,
+                                    int nvars, int update_period = 256) {
+  auto q = std::make_unique<DecisionQueue>(scorer, rank, update_period);
+  for (int i = 0; i < nvars; ++i) q->add_var();
+  return q;
+}
+
+// ---- the Chaff scorer ------------------------------------------------------
+
 TEST(HeuristicTest, InitialScoresAreLiteralCounts) {
-  auto hp = make_heuristic(3); auto& h = *hp;
+  auto q = make(DecisionMode::Chaff, RankMode::None, 3);
   // var0 appears twice positive, var1 once negative.
-  h.on_original_literal(Lit::make(0));
-  h.on_original_literal(Lit::make(0));
-  h.on_original_literal(Lit::make(1, true));
-  EXPECT_DOUBLE_EQ(h.cha_score(Lit::make(0)), 2.0);
-  EXPECT_DOUBLE_EQ(h.cha_score(Lit::make(0, true)), 0.0);
-  EXPECT_DOUBLE_EQ(h.cha_score(Lit::make(1, true)), 1.0);
+  q->on_original_literal(Lit::make(0));
+  q->on_original_literal(Lit::make(0));
+  q->on_original_literal(Lit::make(1, true));
+  EXPECT_DOUBLE_EQ(q->lit_score(Lit::make(0)), 2.0);
+  EXPECT_DOUBLE_EQ(q->lit_score(Lit::make(0, true)), 0.0);
+  EXPECT_DOUBLE_EQ(q->lit_score(Lit::make(1, true)), 1.0);
 }
 
 TEST(HeuristicTest, PopsHighestChaScore) {
-  auto hp = make_heuristic(3); auto& h = *hp;
-  h.on_original_literal(Lit::make(1));
-  h.on_original_literal(Lit::make(1));
-  h.on_original_literal(Lit::make(2));
-  for (int v = 0; v < 3; ++v) h.insert(v);
-  EXPECT_EQ(h.pop(), 1);
-  EXPECT_EQ(h.pop(), 2);
-  EXPECT_EQ(h.pop(), 0);
+  auto q = make(DecisionMode::Chaff, RankMode::None, 3);
+  q->on_original_literal(Lit::make(1));
+  q->on_original_literal(Lit::make(1));
+  q->on_original_literal(Lit::make(2));
+  // Literal seeding does not sift the heap; a rebuild realises the order.
+  q->rebuild();
+  EXPECT_EQ(q->pop(), 1);
+  EXPECT_EQ(q->pop(), 2);
+  EXPECT_EQ(q->pop(), 0);
+  EXPECT_TRUE(q->empty());
 }
 
 TEST(HeuristicTest, PeriodicUpdateHalvesAndAdds) {
-  auto hp = make_heuristic(1, /*period=*/2); auto& h = *hp;
-  h.on_original_literal(Lit::make(0));
-  h.on_original_literal(Lit::make(0));
-  h.on_original_literal(Lit::make(0));
-  h.on_original_literal(Lit::make(0));  // cha(0+) = 4
-  h.on_learned_literal(Lit::make(0));   // new count 1
-  h.on_conflict();                      // 1 of 2: no update yet
-  EXPECT_DOUBLE_EQ(h.cha_score(Lit::make(0)), 4.0);
-  h.on_conflict();  // period reached: 4/2 + 1 = 3
-  EXPECT_DOUBLE_EQ(h.cha_score(Lit::make(0)), 3.0);
-  EXPECT_EQ(h.num_updates(), 1u);
+  auto q = make(DecisionMode::Chaff, RankMode::None, 1, /*period=*/2);
+  for (int i = 0; i < 4; ++i) q->on_original_literal(Lit::make(0));
+  q->on_learned_literal(Lit::make(0));  // new count 1
+  q->on_conflict();                     // 1 of 2: no update yet
+  EXPECT_DOUBLE_EQ(q->lit_score(Lit::make(0)), 4.0);
+  q->on_conflict();  // period reached: 4/2 + 1 = 3
+  EXPECT_DOUBLE_EQ(q->lit_score(Lit::make(0)), 3.0);
   // New-literal counters reset after the update.
-  h.on_conflict();
-  h.on_conflict();  // 3/2 + 0 = 1.5
-  EXPECT_DOUBLE_EQ(h.cha_score(Lit::make(0)), 1.5);
+  q->on_conflict();
+  q->on_conflict();  // 3/2 + 0 = 1.5
+  EXPECT_DOUBLE_EQ(q->lit_score(Lit::make(0)), 1.5);
 }
 
 TEST(HeuristicTest, PickPhasePrefersHigherScoreLiteral) {
-  auto hp = make_heuristic(1); auto& h = *hp;
-  h.on_original_literal(Lit::make(0, true));
-  h.on_original_literal(Lit::make(0, true));
-  h.on_original_literal(Lit::make(0));
-  EXPECT_EQ(h.pick_phase(0), Lit::make(0, true));
+  auto q = make(DecisionMode::Chaff, RankMode::None, 1);
+  q->on_original_literal(Lit::make(0, true));
+  q->on_original_literal(Lit::make(0, true));
+  q->on_original_literal(Lit::make(0));
+  EXPECT_EQ(q->pick_phase(0), Lit::make(0, true));
   // Ties go to the positive phase.
-  auto hp2 = make_heuristic(1); auto& h2 = *hp2;
-  EXPECT_EQ(h2.pick_phase(0), Lit::make(0));
+  auto q2 = make(DecisionMode::Chaff, RankMode::None, 1);
+  EXPECT_EQ(q2->pick_phase(0), Lit::make(0));
 }
 
+// ---- rank modes and the §3.3 switch ----------------------------------------
+
 TEST(HeuristicTest, StaticModeRankDominates) {
-  auto hp = make_heuristic(2); auto& h = *hp;
-  h.set_rank_mode(RankMode::Static);
-  // var0 has huge VSIDS score, var1 has the rank.
-  for (int i = 0; i < 10; ++i) h.on_original_literal(Lit::make(0));
-  h.set_rank(1, 5.0);
-  h.insert(0);
-  h.insert(1);
-  EXPECT_TRUE(h.rank_active());
-  EXPECT_EQ(h.pop(), 1);  // rank wins over cha_score
-  EXPECT_EQ(h.pop(), 0);
+  for (const DecisionMode m : kScorers) {
+    SCOPED_TRACE(scorer_name(m));
+    auto q = make(m, RankMode::Static, 2);
+    // var0 gets all the activity, var1 the rank: rank wins while active.
+    for (int i = 0; i < 10; ++i) q->on_original_literal(Lit::make(0));
+    q->on_analyzed_var(0);
+    q->set_rank(1, 5.0);
+    q->rebuild();
+    EXPECT_TRUE(q->rank_active());
+    EXPECT_EQ(q->pop(), 1);
+    EXPECT_EQ(q->pop(), 0);
+  }
 }
 
 TEST(HeuristicTest, ChaScoreBreaksRankTies) {
-  auto hp = make_heuristic(2); auto& h = *hp;
-  h.set_rank_mode(RankMode::Static);
-  h.set_rank(0, 5.0);
-  h.set_rank(1, 5.0);
-  h.on_original_literal(Lit::make(1));
-  h.insert(0);
-  h.insert(1);
-  EXPECT_EQ(h.pop(), 1);  // equal rank → higher cha_score first
+  auto q = make(DecisionMode::Chaff, RankMode::Static, 2);
+  q->set_rank(0, 5.0);
+  q->set_rank(1, 5.0);
+  q->on_original_literal(Lit::make(1));
+  q->rebuild();
+  EXPECT_EQ(q->pop(), 1);  // equal rank → higher cha_score first
 }
 
 TEST(HeuristicTest, NoneModeIgnoresRank) {
-  auto hp = make_heuristic(2); auto& h = *hp;
-  h.set_rank_mode(RankMode::None);
-  h.set_rank(1, 100.0);
-  h.on_original_literal(Lit::make(0));
-  h.insert(0);
-  h.insert(1);
-  EXPECT_FALSE(h.rank_active());
-  EXPECT_EQ(h.pop(), 0);
+  auto q = make(DecisionMode::Chaff, RankMode::None, 2);
+  q->set_rank(1, 100.0);
+  q->on_original_literal(Lit::make(0));
+  q->rebuild();
+  EXPECT_FALSE(q->rank_active());
+  EXPECT_EQ(q->pop(), 0);
 }
 
 TEST(HeuristicTest, DynamicSwitchesAtThreshold) {
-  auto hp = make_heuristic(2); auto& h = *hp;
-  h.set_rank_mode(RankMode::Dynamic);
-  h.set_rank(1, 100.0);
-  h.insert(0);
-  h.insert(1);
-  EXPECT_TRUE(h.rank_active());
-  // 1000 original literals, divisor 64 → threshold 15 decisions.
-  EXPECT_FALSE(h.on_decision(15, 1000, 64));
-  EXPECT_TRUE(h.rank_active());
-  EXPECT_TRUE(h.on_decision(16, 1000, 64));
-  EXPECT_FALSE(h.rank_active());
-  EXPECT_TRUE(h.switched());
-  // Further decisions do not re-trigger.
-  EXPECT_FALSE(h.on_decision(17, 1000, 64));
+  for (const DecisionMode m : kScorers) {
+    SCOPED_TRACE(scorer_name(m));
+    auto q = make(m, RankMode::Dynamic, 2);
+    q->set_rank(1, 100.0);
+    q->rebuild();
+    EXPECT_TRUE(q->rank_active());
+    // 1000 original literals, divisor 64 → threshold 15 decisions.
+    for (int d = 1; d <= 15; ++d) EXPECT_FALSE(q->on_decision(1000, 64));
+    EXPECT_TRUE(q->rank_active());
+    EXPECT_TRUE(q->on_decision(1000, 64));  // the 16th decision
+    EXPECT_FALSE(q->rank_active());
+    EXPECT_TRUE(q->switched());
+    EXPECT_FALSE(q->on_decision(1000, 64));  // fires once
+    // A new instance re-arms the switch and counts from zero again.
+    q->reset_switch();
+    EXPECT_TRUE(q->rank_active());
+    for (int d = 1; d <= 15; ++d) EXPECT_FALSE(q->on_decision(1000, 64));
+    EXPECT_TRUE(q->on_decision(1000, 64));
+  }
 }
 
 TEST(HeuristicTest, StaticNeverSwitches) {
-  auto hp = make_heuristic(1); auto& h = *hp;
-  h.set_rank_mode(RankMode::Static);
-  EXPECT_FALSE(h.on_decision(1'000'000, 10, 64));
-  EXPECT_TRUE(h.rank_active());
+  auto q = make(DecisionMode::Chaff, RankMode::Static, 1);
+  // 10 literals / 64 → threshold 0: every decision is past it.
+  for (int d = 0; d < 1000; ++d) EXPECT_FALSE(q->on_decision(10, 64));
+  EXPECT_TRUE(q->rank_active());
 }
 
 TEST(HeuristicTest, SwitchRebuildsOrdering) {
-  auto hp = make_heuristic(2); auto& h = *hp;
-  h.set_rank_mode(RankMode::Dynamic);
-  h.set_rank(1, 100.0);       // rank favors var1
-  h.on_original_literal(Lit::make(0));  // VSIDS favors var0
-  h.insert(0);
-  h.insert(1);
-  h.on_decision(1000, 10, 64);  // force the switch
-  EXPECT_EQ(h.pop(), 0);        // now pure VSIDS order
+  auto q = make(DecisionMode::Chaff, RankMode::Dynamic, 2);
+  q->set_rank(1, 100.0);                 // rank favours var1
+  q->on_original_literal(Lit::make(0));  // VSIDS favours var0
+  q->rebuild();
+  EXPECT_TRUE(q->on_decision(10, 64));  // past the threshold: switch
+  EXPECT_EQ(q->pop(), 0);               // now pure VSIDS order
 }
 
 TEST(HeuristicTest, ReplaceModeIgnoresChaScores) {
-  auto hp = make_heuristic(2); auto& h = *hp;
-  h.set_rank_mode(RankMode::Replace);
+  auto q = make(DecisionMode::Chaff, RankMode::Replace, 2);
   // Equal ranks; var1 has a much higher cha_score.  In Replace mode the
   // tie goes to the lower index, not to VSIDS.
-  h.set_rank(0, 5.0);
-  h.set_rank(1, 5.0);
-  for (int i = 0; i < 10; ++i) h.on_original_literal(Lit::make(1));
-  h.insert(0);
-  h.insert(1);
-  EXPECT_TRUE(h.rank_active());
-  EXPECT_EQ(h.pop(), 0);
-  EXPECT_EQ(h.pop(), 1);
+  q->set_rank(0, 5.0);
+  q->set_rank(1, 5.0);
+  for (int i = 0; i < 10; ++i) q->on_original_literal(Lit::make(1));
+  q->rebuild();
+  EXPECT_TRUE(q->rank_active());
+  EXPECT_EQ(q->pop(), 0);
+  EXPECT_EQ(q->pop(), 1);
 }
 
 TEST(HeuristicTest, ReplaceModeNeverSwitches) {
-  auto hp = make_heuristic(1); auto& h = *hp;
-  h.set_rank_mode(RankMode::Replace);
-  EXPECT_FALSE(h.on_decision(1'000'000, 10, 64));
-  EXPECT_TRUE(h.rank_active());
+  auto q = make(DecisionMode::Chaff, RankMode::Replace, 1);
+  for (int d = 0; d < 1000; ++d) EXPECT_FALSE(q->on_decision(10, 64));
+  EXPECT_TRUE(q->rank_active());
 }
 
+// ---- the queue itself ------------------------------------------------------
+
 TEST(HeuristicTest, InsertIsIdempotent) {
-  auto hp = make_heuristic(1); auto& h = *hp;
-  h.insert(0);
-  h.insert(0);
-  EXPECT_EQ(h.pop(), 0);
-  EXPECT_TRUE(h.heap_empty());
+  auto q = make(DecisionMode::Chaff, RankMode::None, 1);
+  q->insert(0);  // already queued by add_var
+  q->insert(0);
+  EXPECT_EQ(q->pop(), 0);
+  EXPECT_TRUE(q->empty());
 }
 
 TEST(HeuristicTest, RejectsNonPositivePeriod) {
-  EXPECT_THROW(DecisionHeuristic(0), std::invalid_argument);
+  EXPECT_THROW(DecisionQueue(DecisionMode::Chaff, RankMode::None, 0),
+               std::invalid_argument);
 }
 
 }  // namespace

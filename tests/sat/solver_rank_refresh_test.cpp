@@ -117,31 +117,29 @@ TEST(SolverRankRefreshTest, RestartBoundariesDrainPendingUpdates) {
 TEST(SolverRankRefreshTest, RefreshDoesNotResurrectSwitchedFallback) {
   // Queue-level contract: after the dynamic fallback fired, refresh_ranks
   // installs values but neither rebuilds rank-primary order nor clears
-  // the switch.
+  // the switch — over either scorer.
   for (const DecisionMode mode : {DecisionMode::Chaff, DecisionMode::Evsids}) {
-    SCOPED_TRACE(to_string(mode));
-    const auto queue = make_decision_queue(mode, RankMode::Dynamic,
-                                           /*vsids_update_period=*/256,
-                                           /*evsids_decay=*/0.95);
-    for (int v = 0; v < 8; ++v) queue->add_var();
+    SCOPED_TRACE(mode == DecisionMode::Chaff ? "chaff" : "evsids");
+    DecisionQueue queue(mode, RankMode::Dynamic);
+    for (int v = 0; v < 8; ++v) queue.add_var();
     const std::vector<double> ranks{7, 6, 5, 4, 3, 2, 1, 0};
-    EXPECT_TRUE(queue->refresh_ranks(ranks));  // rank active: heap re-keyed
+    EXPECT_TRUE(queue.refresh_ranks(ranks));  // rank active: heap re-keyed
 
-    // Force the switch: decisions far beyond #literals / divisor.
-    EXPECT_TRUE(queue->on_decision(/*num_decisions=*/1000,
-                                   /*num_original_literals=*/64,
-                                   /*switch_divisor=*/64));
-    ASSERT_TRUE(queue->switched());
-    ASSERT_FALSE(queue->rank_active());
+    // Force the switch: 63 literals / divisor 64 puts the threshold at 0
+    // decisions, so the first decision passes it.
+    EXPECT_TRUE(queue.on_decision(/*num_original_literals=*/63,
+                                  /*switch_divisor=*/64));
+    ASSERT_TRUE(queue.switched());
+    ASSERT_FALSE(queue.rank_active());
 
-    EXPECT_FALSE(queue->refresh_ranks(ranks));  // values only, no rebuild
-    EXPECT_TRUE(queue->switched());
-    EXPECT_FALSE(queue->rank_active());
+    EXPECT_FALSE(queue.refresh_ranks(ranks));  // values only, no rebuild
+    EXPECT_TRUE(queue.switched());
+    EXPECT_FALSE(queue.rank_active());
 
     // The next solve re-arms the fallback as before.
-    queue->reset_switch();
-    EXPECT_FALSE(queue->switched());
-    EXPECT_TRUE(queue->rank_active());
+    queue.reset_switch();
+    EXPECT_FALSE(queue.switched());
+    EXPECT_TRUE(queue.rank_active());
   }
 }
 

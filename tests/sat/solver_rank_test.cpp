@@ -95,6 +95,43 @@ TEST(SolverRankTest, DynamicSwitchRespectsDivisor) {
   EXPECT_TRUE(s.stats().rank_switched);
 }
 
+TEST(SolverRankTest, DynamicSwitchCountsDecisionsPerSolveCall) {
+  // §3.3's switch is a per-instance verdict: a persistent solver counts
+  // each solve() call's decisions from zero.  The first call refutes a
+  // guarded pigeonhole instance in far more than #literals / 64
+  // decisions and switches; the second, with the guard retired and every
+  // pigeon variable fixed, decides a fresh clause in a couple of
+  // decisions and keeps the rank primary.
+  SolverConfig cfg;
+  cfg.rank_mode = RankMode::Dynamic;
+  Solver s(cfg);
+  const Cnf php = pigeonhole(8, 7);
+  for (int v = 0; v < php.num_vars; ++v) s.new_var();
+  const Lit guard = Lit::make(s.new_var());
+  for (std::vector<Lit> clause : php.clauses) {
+    clause.push_back(~guard);
+    s.add_clause(clause);
+  }
+  s.set_variable_rank(std::vector<double>(
+      static_cast<std::size_t>(s.num_vars()), 1.0));
+  ASSERT_EQ(s.solve({guard}), Result::Unsat);
+  ASSERT_TRUE(s.stats().rank_switched);
+
+  s.add_clause({~guard});
+  for (int v = 0; v < php.num_vars; ++v) s.add_clause({Lit::make(v, true)});
+  const Lit a = Lit::make(s.new_var());
+  const Lit b = Lit::make(s.new_var());
+  s.add_clause({a, b});
+  const std::uint64_t threshold = s.num_original_literals() / 64;
+  ASSERT_GT(s.stats().decisions, threshold);  // cumulative count is past it
+  const std::uint64_t before = s.stats().decisions;
+  ASSERT_EQ(s.solve(), Result::Sat);
+  const std::uint64_t second = s.stats().decisions - before;
+  EXPECT_GE(second, 1u);
+  EXPECT_LE(second, threshold);
+  EXPECT_FALSE(s.stats().rank_switched);
+}
+
 TEST(SolverRankTest, StaticNeverSwitches) {
   SolverConfig cfg;
   cfg.rank_mode = RankMode::Static;

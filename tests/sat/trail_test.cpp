@@ -121,23 +121,6 @@ TEST(TrailTest, CancelRewindsQueueHead) {
   EXPECT_EQ(t.dequeue(), pos(1));  // re-assignments re-enter the queue
 }
 
-TEST(TrailTest, SavedPhaseOnlyWithSavingEnabled) {
-  Trail off(false);
-  off.new_var();
-  off.new_decision_level();
-  off.assign(neg(0), kClauseRefUndef);
-  off.cancel_until(0, [](Var) {});
-  EXPECT_EQ(off.saved_phase(0), l_Undef);
-
-  Trail on(true);
-  on.new_var();
-  EXPECT_EQ(on.saved_phase(0), l_Undef);  // never assigned yet
-  on.new_decision_level();
-  on.assign(neg(0), kClauseRefUndef);
-  on.cancel_until(0, [](Var) {});
-  EXPECT_EQ(on.saved_phase(0), l_False);
-}
-
 TEST(TrailTest, AbstractLevelHashesLevelBits) {
   Trail t;
   for (int i = 0; i < 2; ++i) t.new_var();

@@ -120,7 +120,6 @@ TEST(WireOptionsTest, RaceOptionsSurviveTheRoundTrip) {
       .incremental(true)
       .simplify(false)
       .bad_mode(bmc::BadMode::Any)
-      .decision("evsids")
       .glue_lbd(3)
       .tier_lbd(9)
       .share(false)
@@ -130,8 +129,7 @@ TEST(WireOptionsTest, RaceOptionsSurviveTheRoundTrip) {
       .share_rank(false)
       .core_weighting("exp-decay")
       .preprocess(false)
-      .bve_budget(5)
-      .assumption_savepoint(false);
+      .bve_budget(5);
 
   JsonWriter w;
   write_race_options(w, sent);
@@ -151,6 +149,10 @@ TEST(WireOptionsTest, DefaultsRoundTripAndAbsentMembersKeepDefaults) {
             api::config_fingerprint(defaults));
   // An empty object (an old client) decodes to pure defaults.
   EXPECT_EQ(api::config_fingerprint(parse_race_options(parse_ok("{}"))),
+            api::config_fingerprint(defaults));
+  // So do the retired "decision" and "assumption_savepoint" members.
+  EXPECT_EQ(api::config_fingerprint(parse_race_options(parse_ok(
+                R"({"decision": "evsids", "assumption_savepoint": false})"))),
             api::config_fingerprint(defaults));
 }
 
