@@ -11,6 +11,9 @@ signal to read, not a gate.  Headline metrics compared:
   BENCH_solver.json     props/sec per suite row (solver-core throughput)
   BENCH_portfolio.json  race-setup encode-once speedup, total race
                         ratios, lemma-sharing and rank-sharing counters
+  BENCH_tape.json       wall time per google-benchmark tape row: replay
+                        into one solver, three entrants replaying at
+                        once, and the per-depth preprocessing passes
 
 Missing files / keys degrade to "n/a" so the very first run (empty
 trajectory) still prints a table that later runs can diff against.
@@ -64,6 +67,23 @@ def solver_rows(doc):
     totals = doc.get("totals")
     if isinstance(totals, dict) and "props_per_sec" in totals:
         out["TOTAL"] = totals.get("props_per_sec")
+    return out
+
+
+def tape_rows(doc):
+    """{row name: (real_time, time_unit)} of a google-benchmark JSON
+    (BENCH_tape.json: benchmarks: [{name, real_time, time_unit, ...}]),
+    iteration rows only, tolerating older/partial schemas."""
+    out = {}
+    if not isinstance(doc, dict):
+        return out
+    for row in doc.get("benchmarks", []) or []:
+        if not isinstance(row, dict) or "name" not in row:
+            continue
+        if row.get("run_type", "iteration") != "iteration":
+            continue
+        out[str(row["name"])] = (row.get("real_time"),
+                                 row.get("time_unit", "ns"))
     return out
 
 
@@ -162,6 +182,31 @@ def main():
         print()
     else:
         print("_no BENCH_portfolio.json in the current run_")
+        print()
+
+    # ---- tape: replay (one consumer, three racing entrants) + passes ----
+    prev_t = tape_rows(load(prev_dir, "BENCH_tape.json"))
+    cur_t = tape_rows(load(cur_dir, "BENCH_tape.json"))
+    if cur_t:
+        # Rows added after the previous run (e.g. BM_TapeReplayRace)
+        # print "n/a" previous cells.
+        print("### Tape replay and preprocessing (wall time)")
+        print()
+        print("| row | unit | previous | current | delta |")
+        print("|---|---|---:|---:|---:|")
+        for name, (cur_v, unit) in cur_t.items():
+            prev_v, prev_unit = prev_t.get(name, (None, unit))
+            if prev_unit != unit:
+                prev_v = None
+            print(f"| {name} | {unit} | {fmt(prev_v)} | {fmt(cur_v)} "
+                  f"| {delta(prev_v, cur_v)} |")
+            if (prev_v and cur_v and
+                    cur_v > prev_v / REGRESSION_TOLERANCE):
+                warn(f"tape regression on {name}: "
+                     f"{fmt(prev_v)} -> {fmt(cur_v)} {unit}")
+        print()
+    else:
+        print("_no BENCH_tape.json rows in the current run_")
         print()
 
     # ---- incremental: fast-path ratios + savepoint/retirement counters --
@@ -303,7 +348,7 @@ def main():
         print("_no BENCH_memory.json in the current run_")
         print()
 
-    if not prev_rows and not prev_p and not prev_i:
+    if not prev_rows and not prev_p and not prev_i and not prev_t:
         print("_previous run had no bench artifacts — "
               "this run seeds the trajectory_")
 

@@ -206,6 +206,43 @@ class BenchDeltaTest(unittest.TestCase):
         self.assertIn("| peak RSS, kB (bench_memory process) | 9,000 "
                       "| 9,600 | +6.7% |", out)
 
+    def test_tape_rows_diff_and_new_row_degrades(self):
+        # The previous BENCH_tape.json predates BM_TapeReplayRace: its
+        # rows print an "n/a" previous cell; rows both runs have diff.
+        def gbench(rows):
+            return {"context": {"num_cpus": 4},
+                    "benchmarks": [
+                        {"name": name, "run_name": name,
+                         "run_type": "iteration", "iterations": 10,
+                         "real_time": t, "cpu_time": t, "time_unit": "ns"}
+                        for name, t in rows]}
+        prev_doc = gbench([("BM_TapeReplay/10", 500000.0),
+                           ("BM_TapePreprocess/10", 6000000.0)])
+        cur_doc = gbench([("BM_TapeReplay/10", 400000.0),
+                          ("BM_TapeReplayRace/10/real_time", 900000.0),
+                          ("BM_TapePreprocess/10", 6000000.0)])
+        with tempfile.TemporaryDirectory() as prev, \
+                tempfile.TemporaryDirectory() as cur:
+            write_json(prev, "BENCH_tape.json", prev_doc)
+            write_json(cur, "BENCH_tape.json", cur_doc)
+            rc, out = run_delta(prev, cur)
+        self.assertEqual(rc, 0)
+        self.assertIn("### Tape replay and preprocessing", out)
+        self.assertIn("| BM_TapeReplayRace/10/real_time | ns | n/a "
+                      "| 900,000 | n/a |", out)
+        self.assertIn("| BM_TapeReplay/10 | ns | 500,000 | 400,000 "
+                      "| -20.0% |", out)
+        self.assertIn("| BM_TapePreprocess/10 | ns | 6,000,000 "
+                      "| 6,000,000 | +0.0% |", out)
+
+    def test_tape_artifact_absent_degrades(self):
+        with tempfile.TemporaryDirectory() as prev, \
+                tempfile.TemporaryDirectory() as cur:
+            write_json(cur, "BENCH_portfolio.json", CURRENT_PORTFOLIO)
+            rc, out = run_delta(prev, cur)
+        self.assertEqual(rc, 0)
+        self.assertIn("no BENCH_tape.json rows", out)
+
 
 if __name__ == "__main__":
     unittest.main()

@@ -1,6 +1,7 @@
 // Micro-benchmarks (google-benchmark) for the substrate components:
-// BCP throughput, end-to-end solving, CNF generation, tape replay and
-// preprocessing, core extraction, and the decision heap.
+// BCP throughput, end-to-end solving, CNF generation, tape replay (one
+// consumer, and three racing entrants at once) and preprocessing, core
+// extraction, and the decision heap.
 //
 // `bench_micro --quick` skips the google-benchmark suite and instead
 // runs the benchgen quick suite end to end, writing BENCH_solver.json
@@ -10,8 +11,11 @@
 // the 37-row standard suite.
 #include <benchmark/benchmark.h>
 
+#include <atomic>
+#include <barrier>
 #include <cstring>
 #include <string>
+#include <thread>
 
 #include "bmc/encoder.hpp"
 #include "bmc/ranking.hpp"
@@ -179,24 +183,72 @@ BENCHMARK(BM_EncodeInstance)
     ->Args({40, 0})
     ->Args({40, 1});
 
+/// The model the tape rows share, on the default preprocessing-on path.
+model::Benchmark tape_model() {
+  return model::with_distractor(model::fifo_safe(5), 32, 1);
+}
+
+bmc::PreprocessOptions preprocess_on() {
+  bmc::PreprocessOptions po;
+  po.enabled = true;
+  return po;
+}
+
+/// One entrant's per-depth setup: a fresh solver loaded with depth k.
+void replay_fresh_solver(bmc::SharedTape& tape, int depth) {
+  sat::Solver solver;
+  std::vector<bmc::VarOrigin> origin;
+  bmc::SolverSink sink(solver, origin);
+  bmc::ClauseTape::Cursor cursor;
+  tape.replay_to(depth, cursor, sink);
+  benchmark::DoNotOptimize(solver.num_vars());
+}
+
 void BM_TapeReplay(benchmark::State& state) {
-  // Feeding a fresh solver by replaying the shared tape — the per-depth
-  // setup cost of scratch sessions and race entrants (encode-once: the
-  // encoding itself happened exactly once, outside the loop).
-  const auto bm = model::with_distractor(model::fifo_safe(5), 32, 1);
+  // Feeding a fresh solver by replaying the shared tape's cached deltas
+  // — the per-depth setup cost of scratch sessions and race entrants
+  // (encode-once: the encoding and the delta passes happened exactly
+  // once, outside the loop).
+  const auto bm = tape_model();
   const int depth = static_cast<int>(state.range(0));
-  bmc::SharedTape tape(bm.net, 0);
-  tape.ensure_depth(depth);
-  for (auto _ : state) {
-    sat::Solver solver;
-    std::vector<bmc::VarOrigin> origin;
-    bmc::SolverSink sink(solver, origin);
-    bmc::ClauseTape::Cursor cursor;
-    tape.replay_to(depth, cursor, sink);
-    benchmark::DoNotOptimize(solver.num_vars());
-  }
+  bmc::SharedTape tape(bm.net, 0, {}, preprocess_on());
+  tape.simplified_clauses_at(depth);  // runs the delta passes 0..depth
+  for (auto _ : state) replay_fresh_solver(tape, depth);
 }
 BENCHMARK(BM_TapeReplay)->Arg(10)->Arg(20)->Arg(40);
+
+void BM_TapeReplayRace(benchmark::State& state) {
+  // BM_TapeReplay for a three-entrant race: three threads load depth k
+  // from the one shared tape at the same moment, as racing entrants do
+  // at every depth.  Wall time until all three hold the formula, so
+  // replays that queue on the tape's lock show up here.
+  constexpr int kEntrants = 3;
+  const auto bm = tape_model();
+  const int depth = static_cast<int>(state.range(0));
+  bmc::SharedTape tape(bm.net, 0, {}, preprocess_on());
+  tape.simplified_clauses_at(depth);  // runs the delta passes 0..depth
+  std::barrier sync(kEntrants + 1);
+  std::atomic<bool> done{false};
+  std::vector<std::thread> entrants;
+  for (int t = 0; t < kEntrants; ++t) {
+    entrants.emplace_back([&] {
+      for (;;) {
+        sync.arrive_and_wait();  // iteration start
+        if (done.load(std::memory_order_relaxed)) return;
+        replay_fresh_solver(tape, depth);
+        sync.arrive_and_wait();  // iteration end
+      }
+    });
+  }
+  for (auto _ : state) {
+    sync.arrive_and_wait();
+    sync.arrive_and_wait();
+  }
+  done.store(true, std::memory_order_relaxed);
+  sync.arrive_and_wait();
+  for (std::thread& t : entrants) t.join();
+}
+BENCHMARK(BM_TapeReplayRace)->Arg(10)->Arg(20)->Arg(40)->UseRealTime();
 
 void BM_TapePreprocess(benchmark::State& state) {
   // The CNF passes in front of the solver — one per depth's delta, 0..depth
@@ -204,13 +256,11 @@ void BM_TapePreprocess(benchmark::State& state) {
   // BM_TapeReplay's model.  Each iteration takes a fresh SharedTape, so
   // the passes really run instead of hitting the per-depth cache;
   // encoding the frames is outside the timed region.
-  const auto bm = model::with_distractor(model::fifo_safe(5), 32, 1);
+  const auto bm = tape_model();
   const int depth = static_cast<int>(state.range(0));
-  bmc::PreprocessOptions po;
-  po.enabled = true;
   for (auto _ : state) {
     state.PauseTiming();
-    bmc::SharedTape tape(bm.net, 0, {}, po);
+    bmc::SharedTape tape(bm.net, 0, {}, preprocess_on());
     tape.ensure_depth(depth);
     state.ResumeTiming();
     benchmark::DoNotOptimize(tape.simplified_clauses_at(depth));

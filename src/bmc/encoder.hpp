@@ -76,14 +76,12 @@ class SolverSink final : public ClauseSink {
     return solver_.new_var();
   }
   void add_clause(std::span<const sat::Lit> lits) override {
-    scratch_.assign(lits.begin(), lits.end());
-    solver_.add_clause(scratch_);
+    solver_.add_clause(lits);
   }
 
  private:
   sat::Solver& solver_;
   std::vector<VarOrigin>& origin_;
-  std::vector<sat::Lit> scratch_;
 };
 
 /// Buffers the encoding into a BmcInstance (cnf + origin map).

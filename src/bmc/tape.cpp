@@ -85,21 +85,16 @@ SharedTape::SharedTape(const model::Netlist& net, std::size_t bad_index,
 
 void SharedTape::recharge_locked() {
   // O(depths): every cache is a handful of flat vectors.
-  std::size_t caches = inc_remap_.memory_bytes();
-  for (const IncDelta& d : inc_deltas_) {
-    caches += d.clauses.memory_bytes();
-    caches += d.resurrected.capacity() * sizeof(sat::Var) +
-              d.kept_new.capacity();
-  }
-  cache_bytes_ = caches;
-  const std::size_t now = tape_.memory_bytes() + cache_bytes_;
+  std::size_t now = tape_.memory_bytes() + inc_remap_.memory_bytes();
+  for (const IncDelta& d : inc_deltas_) now += d.memory_bytes();
+  const std::size_t was = footprint_.load(std::memory_order_relaxed);
   if (mem_ != nullptr) {
-    if (now >= last_charged_)
-      mem_->add(now - last_charged_);
+    if (now >= was)
+      mem_->add(now - was);
     else
-      mem_->sub(last_charged_ - now);
+      mem_->sub(was - now);
   }
-  last_charged_ = now;
+  footprint_.store(now, std::memory_order_relaxed);
 }
 
 void SharedTape::ensure_locked(int k) {
@@ -127,21 +122,32 @@ void SharedTape::ensure_depth(int k) {
 
 void SharedTape::replay_to(int k, ClauseTape::Cursor& cursor,
                            ClauseSink& out) {
-  const std::lock_guard<std::mutex> lock(mu_);
-  ensure_locked(k);
-  if (!preprocess_.enabled) {
-    tape_.replay(cursor, depth_marks_[static_cast<std::size_t>(k)], out);
-    return;
+  std::vector<const IncDelta*> deltas;
+  {
+    const std::lock_guard<std::mutex> lock(mu_);
+    ensure_locked(k);
+    if (!preprocess_.enabled) {
+      // The raw tape's vectors grow while frames are encoded: replay it
+      // under the lock.
+      tape_.replay(cursor, depth_marks_[static_cast<std::size_t>(k)], out);
+      return;
+    }
+    // Each delta parks the cursor on its depth's mark, so the next delta
+    // is that of the first depth whose mark lies beyond the cursor (a
+    // fresh cursor: depth 0).  Two depths share a mark only when the
+    // later one added no events, and then its delta is empty too.
+    const auto next = std::upper_bound(
+        depth_marks_.begin(), depth_marks_.end(), cursor.op,
+        [](std::size_t op, const ClauseTape::Mark& m) { return op < m.ops; });
+    ensure_inc_delta_locked(k);
+    for (auto f = static_cast<std::size_t>(next - depth_marks_.begin());
+         f <= static_cast<std::size_t>(k); ++f)
+      deltas.push_back(&inc_deltas_[f]);
   }
-  // Each delta parks the cursor on its depth's mark, so the next delta
-  // is that of the first depth whose mark lies beyond the cursor (a
-  // fresh cursor: depth 0).  Two depths share a mark only when the later
-  // one added no events, and then its delta is empty too.
-  const auto next = std::upper_bound(
-      depth_marks_.begin(), depth_marks_.end(), cursor.op,
-      [](std::size_t op, const ClauseTape::Mark& m) { return op < m.ops; });
-  for (int f = static_cast<int>(next - depth_marks_.begin()); f <= k; ++f)
-    replay_delta_locked(f, cursor, out);
+  // Published deltas are immutable and never move: translate and add
+  // their clauses without the lock.
+  std::vector<sat::Lit> clause;
+  for (const IncDelta* d : deltas) replay_delta(*d, cursor, out, clause);
 }
 
 // Frozen set: everything whose tape variable must survive to the
@@ -174,20 +180,23 @@ void SharedTape::build_frozen_locked(int k, std::size_t num_vars,
 
 void SharedTape::ensure_inc_delta_locked(int f) {
   ensure_locked(f);
-  const auto idx = static_cast<std::size_t>(f);
-  if (inc_deltas_.size() <= idx) inc_deltas_.resize(idx + 1);
-  if (inc_deltas_[idx].ready) return;
-  // The cumulative state (remapper, root facts) only makes sense built
-  // strictly in depth order; consumers replay deltas in order anyway.
-  if (f > 0) ensure_inc_delta_locked(f - 1);
+  for (auto g = static_cast<int>(inc_deltas_.size()); g <= f; ++g) {
+    inc_deltas_.push_back(build_inc_delta_locked(g));
+    recharge_locked();
+  }
+}
 
-  const ClauseTape::Mark prev =
-      f > 0 ? depth_marks_[idx - 1] : ClauseTape::Mark{};
-  const ClauseTape::Mark& mark = depth_marks_[idx];
+SharedTape::IncDelta SharedTape::build_inc_delta_locked(int f) {
+  REFBMC_ASSERT(static_cast<std::size_t>(f) == inc_deltas_.size());
+  const auto idx = static_cast<std::size_t>(f);
+  IncDelta d;
+  d.prev = f > 0 ? depth_marks_[idx - 1] : ClauseTape::Mark{};
+  d.mark = depth_marks_[idx];
+  const ClauseTape::Mark& prev = d.prev;
+  const ClauseTape::Mark& mark = d.mark;
   obs::TraceSpan span(obs::EventKind::SpanPreprocess, f);
   const std::uint64_t t0 = obs::monotonic_now_us();
 
-  IncDelta& d = inc_deltas_[idx];
   inc_remap_.grow(static_cast<int>(mark.vars));
   inc_assigned_.resize(mark.vars, sat::l_Undef);
 
@@ -249,45 +258,40 @@ void SharedTape::ensure_inc_delta_locked(int f) {
   // stand either way (the raw delta references those variables too).
   if (!result.fell_back) inc_remap_.append(result.remap, f);
   inc_assigned_ = std::move(result.assigned);
+  // The origins replay hands the sink, in creation order: resurrected
+  // variables first (the cached delta stream references them), then
+  // this delta's surviving variables in tape order — identical creation
+  // order for every consumer.
+  const auto& origin = tape_.origin();
+  for (const sat::Var v : d.resurrected)
+    d.origins.push_back(origin[static_cast<std::size_t>(v)]);
   d.kept_new.assign(mark.vars - prev.vars, 1);
   for (std::size_t v = prev.vars; v < mark.vars; ++v) {
-    if (!inc_remap_.is_kept(static_cast<sat::Var>(v)))
+    if (inc_remap_.is_kept(static_cast<sat::Var>(v)))
+      d.origins.push_back(origin[v]);
+    else
       d.kept_new[v - prev.vars] = 0;
   }
   d.stats = result.stats;
   span.set_value(static_cast<std::int64_t>(result.clauses.size()));
   d.clauses = std::move(result.clauses);
-  d.ready = true;
-  recharge_locked();
+  return d;
 }
 
-void SharedTape::replay_delta_locked(int f, ClauseTape::Cursor& cursor,
-                                     ClauseSink& out) {
-  ensure_inc_delta_locked(f);
-  const auto idx = static_cast<std::size_t>(f);
-  const ClauseTape::Mark prev =
-      f > 0 ? depth_marks_[idx - 1] : ClauseTape::Mark{};
-  const ClauseTape::Mark& mark = depth_marks_[idx];
-  REFBMC_EXPECTS_MSG(cursor.var_map.size() == prev.vars,
+void SharedTape::replay_delta(const IncDelta& d, ClauseTape::Cursor& cursor,
+                              ClauseSink& out, std::vector<sat::Lit>& clause) {
+  REFBMC_EXPECTS_MSG(cursor.var_map.size() == d.prev.vars,
                      "delta replay requires a cursor parked at the "
                      "previous depth's mark");
-  const IncDelta& d = inc_deltas_[idx];
-  const auto& origin = tape_.origin();
-
-  // Resurrected variables first (the cached delta stream references
-  // them), then this delta's surviving variables in tape order —
-  // identical creation order for every consumer.
+  auto origin = d.origins.begin();
   for (const sat::Var v : d.resurrected) {
     auto& slot = cursor.var_map[static_cast<std::size_t>(v)];
     REFBMC_ASSERT(slot == sat::kVarUndef);
-    slot = out.add_var(origin[static_cast<std::size_t>(v)]);
+    slot = out.add_var(*origin++);
   }
-  for (std::size_t v = prev.vars; v < mark.vars; ++v) {
-    cursor.var_map.push_back(d.kept_new[v - prev.vars] != 0
-                                 ? out.add_var(origin[v])
-                                 : sat::kVarUndef);
-  }
-  std::vector<sat::Lit> clause;
+  for (const char kept : d.kept_new)
+    cursor.var_map.push_back(kept != 0 ? out.add_var(*origin++)
+                                       : sat::kVarUndef);
   for (const std::span<const sat::Lit> c : d.clauses) {
     clause.clear();
     for (const sat::Lit l : c) clause.push_back(cursor.translate(l));
@@ -296,7 +300,7 @@ void SharedTape::replay_delta_locked(int f, ClauseTape::Cursor& cursor,
   // Park at the depth mark: translate() keeps working for property, bad
   // and latch literals over kept (frozen) variables, and the next
   // replay_to finds the depth from the mark.
-  cursor.op = mark.ops;
+  cursor.op = d.mark.ops;
 }
 
 PreprocessStats SharedTape::preprocess_stats_at(int k) {
@@ -366,14 +370,10 @@ EncodeStats SharedTape::stats() const {
 
 void SharedTape::set_mem_tracker(MemTracker* tracker) {
   const std::lock_guard<std::mutex> lock(mu_);
-  if (mem_ != nullptr) mem_->sub(last_charged_);
+  const std::size_t charged = footprint_.load(std::memory_order_relaxed);
+  if (mem_ != nullptr) mem_->sub(charged);
   mem_ = tracker;
-  if (mem_ != nullptr) mem_->add(last_charged_);
-}
-
-std::size_t SharedTape::memory_bytes() const {
-  const std::lock_guard<std::mutex> lock(mu_);
-  return tape_.memory_bytes() + cache_bytes_;
+  if (mem_ != nullptr) mem_->add(charged);
 }
 
 }  // namespace refbmc::bmc

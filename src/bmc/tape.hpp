@@ -8,30 +8,42 @@
 // one consumer has replayed and carries the tape-var → sink-var
 // translation (sinks may interleave their own variables, e.g. activation
 // literals, so the spaces differ in general).
-//
-// SharedTape wraps tape + FrameEncoder behind a mutex: ensure_depth(k)
-// encodes frames at most once regardless of how many threads ask, and
-// replay_to() streams a consumer forward.  Replay happens under the lock
-// too — clause copying is orders of magnitude cheaper than solving, so
-// contention is negligible next to the O(P × k²) re-encoding it replaces.
 // Events are stored raw in two flat vectors (one op per event, the
 // clause literals back to back), so any range replays by a linear walk.
 //
-// Preprocessing (preprocess.hpp) runs under the same mutex in one
+// SharedTape wraps tape + FrameEncoder behind a mutex that guards only
+// writes: encoding a frame (ensure_depth(k) encodes each frame at most
+// once, however many threads ask) and running a depth's preprocessing
+// pass.  Copying clauses into a consumer's solver is NOT done under it:
+// racing entrants replay the same depths at the same moments, their
+// copies together cost several times the tape pass, and a lock held
+// across them made every entrant queue behind the others' replays.
+//
+// Preprocessing (preprocess.hpp) runs under the mutex in one
 // PreprocessWorkspace the tape owns, once per depth: each depth's delta
 // (the clauses frame k added on top of frame k-1) is simplified against
 // everything before it, and every consumer — a fresh scratch solver or
 // a persistent incremental one — reaches depth k by replaying the cached
 // deltas 0..k.  Each pass scans its tape range straight into the
 // workspace, and the arena, occurrence lists and buffers keep their
-// capacity from depth to depth and across racing entrants.  The deltas
-// share one cumulative witness stack whose entries carry the depth that
-// eliminated (and resurrected) them, so the view as of any depth is
-// rebuilt on demand.  Every cache's flat storage, the witness stack
-// included, is charged to the MemTracker.
+// capacity from depth to depth and across racing entrants.  A cached
+// delta is published once, complete, into reference-stable storage and
+// never written again; it carries everything its replay reads (its
+// marks, the origins of the variables it creates, its clauses), so
+// replay_to takes the lock only to make the depths ready and collect
+// them, then translates and adds the clauses after unlocking.  With
+// preprocessing off, replay walks the raw tape, whose vectors grow while
+// frames are encoded, so that path still replays under the lock.  The
+// deltas share one cumulative witness stack whose entries carry the
+// depth that eliminated (and resurrected) them, so the view as of any
+// depth is rebuilt on demand.  Every cache's flat storage, the witness
+// stack included, is charged to the MemTracker, and the footprint is
+// published in an atomic that memory_bytes() reads without the lock.
 #pragma once
 
+#include <atomic>
 #include <cstdint>
+#include <deque>
 #include <functional>
 #include <mutex>
 #include <vector>
@@ -153,7 +165,11 @@ class SharedTape {
   /// else each intermediate depth's cached simplified delta.  Every
   /// consumer reaches the same formula through this one call, whether
   /// it takes depth k in one step (a fresh scratch solver) or a depth at
-  /// a time (an incremental solver).  Thread-safe.
+  /// a time (an incremental solver).  Thread-safe.  With preprocessing
+  /// on, the lock is held once, to run any missing delta passes and
+  /// collect the deltas; `out` is fed after it is released, so `out` may
+  /// be slow without stalling other consumers.  With preprocessing off
+  /// the raw tape is replayed under the lock.
   void replay_to(int k, ClauseTape::Cursor& cursor, ClauseSink& out);
 
   /// Preprocessing counters of depth k's delta pass (runs the cached
@@ -192,44 +208,61 @@ class SharedTape {
   void set_mem_tracker(MemTracker* tracker);
 
   /// Heap footprint of the tape and its per-depth caches (the value
-  /// charged to the MemTracker).
-  std::size_t memory_bytes() const;
+  /// charged to the MemTracker), as of the last encode or delta pass.
+  /// Lock-free: an atomic read.
+  std::size_t memory_bytes() const {
+    return footprint_.load(std::memory_order_relaxed);
+  }
 
  private:
+  /// One depth's cached delta: the variables resurrected for it, which
+  /// of its new variables survived, and the simplified delta clauses
+  /// (kit clauses included), all in tape space, plus what replay reads
+  /// besides: the depth's marks and the origin of every variable the
+  /// replay creates.  Built under the lock and published complete;
+  /// after that nothing writes it, so any number of consumers replay it
+  /// without the lock.  Consumers replay deltas strictly in depth
+  /// order, so caching makes the stream identical race-wide.  The
+  /// remapper a consumer at depth k completes models with is
+  /// inc_remap_.as_of(k), immune to faster consumers advancing the
+  /// cumulative state past k.  stats.clauses_out is the list's size.
+  struct IncDelta {
+    ClauseTape::Mark prev;              // depth f-1's mark ({} for f = 0)
+    ClauseTape::Mark mark;              // depth f's mark
+    std::vector<sat::Var> resurrected;  // sink creation order
+    std::vector<char> kept_new;         // per var in (prev, mark]
+    std::vector<VarOrigin> origins;     // per created var, creation order
+    ClauseList clauses;                 // kits + simplified delta
+    PreprocessStats stats;
+
+    std::size_t memory_bytes() const {
+      return clauses.memory_bytes() +
+             resurrected.capacity() * sizeof(sat::Var) + kept_new.capacity() +
+             origins.capacity() * sizeof(VarOrigin);
+    }
+  };
+
   void ensure_locked(int k);
+  /// Runs the delta passes of every depth up to f that lacks one.
   void ensure_inc_delta_locked(int f);
-  /// Replays depth f's cached simplified delta — the clauses frame f
-  /// added on top of frame f-1, simplified against everything already
-  /// replayed — into a consumer whose cursor is parked at depth f-1's
-  /// mark (or fresh, for f = 0).  The simplification state is
-  /// cumulative: root facts from earlier deltas seed the pass, the
-  /// VarRemapper witness stack is shared across depths, and a delta that
-  /// references a variable eliminated at an earlier depth, or whose
-  /// property or bad literal names one, transparently RESURRECTS it
-  /// (the variable is re-created in the sink and its removed-clause kit
-  /// is re-emitted before the delta, restoring every deleted
-  /// constraint).  Deltas are computed (and cached) once per
-  /// depth, race-wide, so every consumer sees the identical stream.
-  void replay_delta_locked(int f, ClauseTape::Cursor& cursor,
-                           ClauseSink& out);
+  /// Depth f's delta pass (f = inc_deltas_.size(): passes run strictly
+  /// in depth order, since the cumulative state only makes sense built
+  /// that way).  The simplification state is cumulative: root facts from
+  /// earlier deltas seed the pass, the VarRemapper witness stack is
+  /// shared across depths, and a delta that references a variable
+  /// eliminated at an earlier depth, or whose property or bad literal
+  /// names one, RESURRECTS it (the variable is re-created in the sink
+  /// and its removed-clause kit is re-emitted before the delta,
+  /// restoring every deleted constraint).
+  IncDelta build_inc_delta_locked(int f);
+  /// Replays a published delta into a consumer whose cursor is parked at
+  /// the previous depth's mark (or fresh, for depth 0).  Reads only `d`,
+  /// so it runs without the lock.
+  static void replay_delta(const IncDelta& d, ClauseTape::Cursor& cursor,
+                           ClauseSink& out, std::vector<sat::Lit>& clause);
   void build_frozen_locked(int k, std::size_t num_vars,
                            std::vector<char>& frozen) const;
   void recharge_locked();
-
-  /// One depth's cached delta: the variables resurrected for it, which
-  /// of its new variables survived, and the simplified delta clauses
-  /// (kit clauses included), all in tape space.  Consumers replay deltas
-  /// strictly in depth order, so caching makes the stream identical
-  /// race-wide.  The remapper a consumer at depth k completes models
-  /// with is inc_remap_.as_of(k), immune to faster consumers advancing
-  /// the cumulative state past k.  stats.clauses_out is the list's size.
-  struct IncDelta {
-    bool ready = false;
-    std::vector<sat::Var> resurrected;  // sink creation order
-    std::vector<char> kept_new;         // per var in (prev, mark]
-    ClauseList clauses;                 // kits + simplified delta
-    PreprocessStats stats;
-  };
 
   mutable std::mutex mu_;
   const model::Netlist& net_;
@@ -241,8 +274,9 @@ class SharedTape {
   std::vector<ClauseTape::Mark> depth_marks_;  // per encoded depth
   std::vector<EncodeStats> depth_stats_;       // cumulative per depth
   // Cumulative preprocessing state: witness stack shared across depths
-  // + root facts carried forward.
-  std::vector<IncDelta> inc_deltas_;           // per depth, lazy
+  // + root facts carried forward.  inc_deltas_[f] is depth f's published
+  // delta; a deque, so publishing depth f+1 never moves depth f.
+  std::deque<IncDelta> inc_deltas_;
   VarRemapper inc_remap_{0};
   std::vector<sat::lbool> inc_assigned_;       // per tape var
   PreprocessWorkspace work_;                   // every pass's scratch
@@ -251,8 +285,8 @@ class SharedTape {
   // footprint charged to `mem_`.
   std::size_t est_ops_frame_ = 0;
   std::size_t est_lits_frame_ = 0;
-  std::size_t cache_bytes_ = 0;   // per-depth caches + witness stacks
-  std::size_t last_charged_ = 0;  // last value pushed to mem_
+  // Last value pushed to mem_; written under the lock, read without it.
+  std::atomic<std::size_t> footprint_{0};
   MemTracker* mem_ = nullptr;
 };
 

@@ -12,7 +12,8 @@ ClauseId ClauseDB::register_original(const std::vector<Lit>& dedup_lits,
   const ClauseId id = ++last_id_;
   id_is_original_.push_back(1);
   original_ids_.push_back(id);
-  lits_by_id_.push_back(dedup_lits);
+  orig_lits_.insert(orig_lits_.end(), dedup_lits.begin(), dedup_lits.end());
+  lit_offset_.push_back(orig_lits_.size());
   if (counted) num_orig_lits_ += dedup_lits.size();
   return id;
 }
@@ -20,7 +21,7 @@ ClauseId ClauseDB::register_original(const std::vector<Lit>& dedup_lits,
 ClauseId ClauseDB::register_learned() {
   const ClauseId id = ++last_id_;
   id_is_original_.push_back(0);
-  lits_by_id_.emplace_back();  // placeholder: learned lits live in the arena
+  lit_offset_.push_back(orig_lits_.size());  // empty range
   return id;
 }
 

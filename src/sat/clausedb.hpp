@@ -3,6 +3,10 @@
 // Owns the ClauseArena, the dense clause-id space shared by original and
 // learned clauses (the pseudo-IDs of the paper's §3.1 dependency graph),
 // the learned-clause list with its activities, and the deletion policy.
+// The originals' literals (kept for core reporting) sit back to back in
+// one flat vector with per-id offsets, so loading a formula — a replay
+// of the shared tape, once per depth and entrant — costs no allocation
+// per clause.
 //
 // Learned clauses are tiered by literal-block distance (LBD — the number
 // of distinct decision levels in the clause when it was derived):
@@ -20,6 +24,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -48,6 +53,8 @@ class ClauseDB {
   /// Consumes the next id for an original clause and records its
   /// (deduplicated) literals for core reporting.  `counted` is false for
   /// tautologies, which keep their id but do not contribute literals.
+  /// Amortized allocation-free: the literals are appended to one flat
+  /// vector.
   ClauseId register_original(const std::vector<Lit>& dedup_lits,
                              bool counted);
   /// Consumes the next id for a learned clause (literals live in the
@@ -58,9 +65,11 @@ class ClauseDB {
   bool is_original_clause(ClauseId id) const {
     return id >= 1 && id <= last_id_ && id_is_original_[id - 1] != 0;
   }
-  const std::vector<Lit>& original_clause(ClauseId id) const {
+  /// Valid until the next register_original (the flat vector may grow).
+  std::span<const Lit> original_clause(ClauseId id) const {
     REFBMC_EXPECTS_MSG(is_original_clause(id), "not an original clause id");
-    return lits_by_id_[id - 1];
+    return {orig_lits_.data() + lit_offset_[id - 1],
+            lit_offset_[id] - lit_offset_[id - 1]};
   }
   const std::vector<ClauseId>& original_ids() const { return original_ids_; }
   std::size_t num_original_clauses() const { return original_ids_.size(); }
@@ -131,9 +140,13 @@ class ClauseDB {
   std::uint32_t tier_lbd_;
   double cla_inc_ = 1.0;
 
-  ClauseId last_id_ = 0;                      // unified id counter
-  std::vector<std::vector<Lit>> lits_by_id_;  // originals only
-  std::vector<char> id_is_original_;          // per id
+  ClauseId last_id_ = 0;  // unified id counter
+  // Original literals back to back; id's clause is [lit_offset_[id-1],
+  // lit_offset_[id]) (empty for learned ids, whose literals live in the
+  // arena only).
+  std::vector<Lit> orig_lits_;
+  std::vector<std::size_t> lit_offset_{0};  // last_id_ + 1 entries
+  std::vector<char> id_is_original_;        // per id
   std::vector<ClauseId> original_ids_;
   std::uint64_t num_orig_lits_ = 0;
 

@@ -147,6 +147,9 @@ class DecisionQueue {
            (mode_ == RankMode::Dynamic && !switched_);
   }
   bool switched() const { return switched_; }
+  /// Decisions of this instance: counted by on_decision since the last
+  /// reset_switch().
+  std::uint64_t decisions() const { return decisions_; }
 
   // ---- the queue itself -----------------------------------------------
   void insert(Var v) {

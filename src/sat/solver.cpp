@@ -35,7 +35,7 @@ void Solver::set_variable_rank(std::span<const double> rank_by_var) {
   queue_.rebuild();
 }
 
-bool Solver::add_clause(const std::vector<Lit>& lits) {
+bool Solver::add_clause(std::span<const Lit> lits) {
   REFBMC_EXPECTS_MSG(
       trail_.decision_level() == 0 || config_.assumption_savepoint,
       "clauses can only be added at the root level");
@@ -43,8 +43,10 @@ bool Solver::add_clause(const std::vector<Lit>& lits) {
     REFBMC_EXPECTS_MSG(!l.is_undef() && l.var() < num_vars(),
                        "literal over unknown variable");
 
-  // Dedup; detect tautology.
-  std::vector<Lit> c(lits.begin(), lits.end());
+  // Dedup; detect tautology.  Normalized in place in the member buffer,
+  // which keeps its capacity from clause to clause.
+  std::vector<Lit>& c = add_buf_;
+  c.assign(lits.begin(), lits.end());
   std::sort(c.begin(), c.end());
   c.erase(std::unique(c.begin(), c.end()), c.end());
   bool tautology = false;
@@ -755,8 +757,10 @@ Result Solver::solve(const std::vector<Lit>& assumptions) {
     if (queue_.on_decision(db_.num_original_literals(),
                            config_.dynamic_switch_divisor)) {
       stats_.rank_switched = true;
+      // The instance's own count, the one the switch compared (a
+      // persistent solver's stats_.decisions spans every solve() call).
       REFBMC_TRACE_EVENT(obs::EventKind::DynamicFallback, -1,
-                         static_cast<std::int64_t>(stats_.decisions));
+                         static_cast<std::int64_t>(queue_.decisions()));
     }
     trail_.new_decision_level();
     trail_.assign(next, kClauseRefUndef);

@@ -35,6 +35,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <initializer_list>
 #include <span>
 #include <vector>
 
@@ -169,8 +170,14 @@ class Solver {
   /// clause id (dense, shared with learned clauses) — including
   /// tautologies and clauses already satisfied.  May be called between
   /// solve() calls.  Returns false when the solver is already in an
-  /// unsatisfiable state after this clause.
-  bool add_clause(const std::vector<Lit>& lits);
+  /// unsatisfiable state after this clause.  The clause is normalized in
+  /// a member buffer and its literals are kept in the ClauseDB's flat
+  /// store, so a formula loads (a tape replay, once per depth) with no
+  /// allocation per clause.
+  bool add_clause(std::span<const Lit> lits);
+  bool add_clause(std::initializer_list<Lit> lits) {
+    return add_clause(std::span<const Lit>(lits.begin(), lits.size()));
+  }
 
   /// Number of add_clause calls so far.
   std::size_t num_original_clauses() const {
@@ -186,8 +193,9 @@ class Solver {
     return db_.num_original_literals();
   }
 
-  /// The literals of original clause `id` (after duplicate removal).
-  const std::vector<Lit>& original_clause(ClauseId id) const {
+  /// The literals of original clause `id` (after duplicate removal);
+  /// valid until the next add_clause.
+  std::span<const Lit> original_clause(ClauseId id) const {
     return db_.original_clause(id);
   }
   bool is_original_clause(ClauseId id) const {
@@ -358,6 +366,7 @@ class Solver {
   std::vector<Var> closure_stack_;   // collect_reason_closure work list
 
   std::vector<lbool> model_;
+  std::vector<Lit> add_buf_;                 // add_clause normalize scratch
   std::vector<Lit> import_buf_;              // import root-simplify scratch
   const std::atomic<bool>* stop_ = nullptr;  // not owned; may be null
   ClauseExchange* exchange_ = nullptr;       // not owned; may be null

@@ -230,6 +230,51 @@ TEST(SharedTapeTest, ConcurrentConsumersEncodeOnce) {
   EXPECT_EQ(tape.frames_encoded(), static_cast<std::uint64_t>(kDepth + 1));
 }
 
+TEST(SharedTapeTest, ConcurrentDeltaReplayGivesTheSameFormula) {
+  // Preprocessing on: three consumers replay one tape to staggered
+  // depths at once, one a depth at a time and two jumping, so the delta
+  // passes run on whichever gets there first while the others copy
+  // published deltas outside the lock.  Every stream — variables in
+  // creation order with their origins, then clauses, clause for clause —
+  // must equal a single-threaded replay of a fresh tape to the same
+  // depth (stepping and jumping give one stream: the deltas in order).
+  PreprocessOptions popt;
+  popt.enabled = true;
+  const std::vector<std::vector<int>> plans{
+      {0, 1, 2, 3, 4, 5, 6, 7, 8}, {3, 7}, {2, 5, 8}};
+  for (const model::Benchmark& bm :
+       {model::counter_reach(4, 6, true),
+        model::with_distractor(model::fifo_safe(3), 8, 1)}) {
+    std::vector<RecordSink> reference(plans.size());
+    for (std::size_t i = 0; i < plans.size(); ++i) {
+      SharedTape solo(bm.net, 0, {}, popt);
+      ClauseTape::Cursor cursor;
+      solo.replay_to(plans[i].back(), cursor, reference[i]);
+      // The delta path must really eliminate something.
+      ASSERT_LT(reference[i].vars.size(),
+                solo.mark_at(plans[i].back()).vars);
+    }
+    for (int round = 0; round < 3; ++round) {
+      SharedTape shared(bm.net, 0, {}, popt);
+      std::vector<RecordSink> got(plans.size());
+      std::atomic<bool> go{false};
+      std::vector<std::thread> threads;
+      for (std::size_t i = 0; i < plans.size(); ++i) {
+        threads.emplace_back([&, i] {
+          while (!go.load(std::memory_order_acquire)) std::this_thread::yield();
+          ClauseTape::Cursor cursor;
+          for (const int k : plans[i]) shared.replay_to(k, cursor, got[i]);
+        });
+      }
+      go.store(true, std::memory_order_release);
+      for (auto& th : threads) th.join();
+      for (std::size_t i = 0; i < plans.size(); ++i)
+        EXPECT_TRUE(streams_equal(got[i], reference[i]))
+            << bm.name << " round " << round << " consumer " << i;
+    }
+  }
+}
+
 TEST(SharedTapeTest, StatsAtDepthAreCumulativeSnapshots) {
   const auto bm = model::fifo_safe(3);
   SharedTape tape(bm.net, 0, {});

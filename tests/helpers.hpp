@@ -1,6 +1,7 @@
 // Shared helpers for the test suite: formula builders and solver harness.
 #pragma once
 
+#include <span>
 #include <vector>
 
 #include "sat/dimacs.hpp"
@@ -13,6 +14,11 @@ inline std::vector<sat::Lit> lits(std::initializer_list<int> dimacs) {
   std::vector<sat::Lit> out;
   for (const int d : dimacs) out.push_back(sat::Lit::from_dimacs(d));
   return out;
+}
+
+/// A clause view as a vector, for EXPECT_EQ against lits(...).
+inline std::vector<sat::Lit> as_vector(std::span<const sat::Lit> clause) {
+  return {clause.begin(), clause.end()};
 }
 
 /// Loads a Cnf into a fresh solver (variables created as needed).

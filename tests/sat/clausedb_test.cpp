@@ -53,7 +53,7 @@ TEST(ClauseDbTest, IdSpaceTracksOriginalsAndLearned) {
   EXPECT_TRUE(db.is_original_clause(id1));
   EXPECT_FALSE(db.is_original_clause(id2));
   EXPECT_TRUE(db.is_original_clause(id3));
-  EXPECT_EQ(db.original_clause(id1), c1);
+  EXPECT_EQ(test::as_vector(db.original_clause(id1)), c1);
   EXPECT_EQ(db.num_original_clauses(), 2u);
   EXPECT_EQ(db.num_original_literals(), 3u);
   EXPECT_EQ(db.original_ids(), (std::vector<ClauseId>{1, 3}));

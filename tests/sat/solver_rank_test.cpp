@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "../helpers.hpp"
+#include "obs/trace.hpp"
 #include "sat/solver.hpp"
 
 namespace refbmc::sat {
@@ -130,6 +131,50 @@ TEST(SolverRankTest, DynamicSwitchCountsDecisionsPerSolveCall) {
   EXPECT_GE(second, 1u);
   EXPECT_LE(second, threshold);
   EXPECT_FALSE(s.stats().rank_switched);
+}
+
+TEST(SolverRankTest, DynamicFallbackEventCarriesThePerCallCount) {
+  // A persistent Dynamic solver refutes two guarded pigeonhole copies
+  // over disjoint variables, one per solve() call, and switches in both.
+  // The DynamicFallback trace event reports the count the switch
+  // compared — the call's own decisions, threshold + 1 — not the
+  // solver's running total.
+  SolverConfig cfg;
+  cfg.rank_mode = RankMode::Dynamic;
+  Solver s(cfg);
+  const Cnf php = pigeonhole(8, 7);
+  const auto add_guarded_copy = [&] {
+    const int base = s.num_vars();
+    for (int v = 0; v < php.num_vars; ++v) s.new_var();
+    const Lit guard = Lit::make(s.new_var());
+    for (const std::vector<Lit>& clause : php.clauses) {
+      std::vector<Lit> shifted{~guard};
+      for (const Lit l : clause)
+        shifted.push_back(Lit::make(base + l.var(), l.negated()));
+      s.add_clause(shifted);
+    }
+    return guard;
+  };
+  const Lit first = add_guarded_copy();
+  const Lit second = add_guarded_copy();
+  s.set_variable_rank(std::vector<double>(
+      static_cast<std::size_t>(s.num_vars()), 1.0));
+  const std::uint64_t threshold = s.num_original_literals() / 64;
+
+  ASSERT_TRUE(obs::trace_begin());
+  ASSERT_EQ(s.solve({first}), Result::Unsat);
+  ASSERT_TRUE(s.stats().rank_switched);
+  ASSERT_EQ(s.solve({second}), Result::Unsat);
+  ASSERT_TRUE(s.stats().rank_switched);
+  const obs::TraceDump dump = obs::trace_end();
+
+  std::vector<std::int64_t> values;
+  for (const obs::TrackDump& track : dump.tracks)
+    for (const obs::TraceEvent& e : track.events)
+      if (e.kind == obs::EventKind::DynamicFallback) values.push_back(e.value);
+  ASSERT_EQ(values.size(), 2u);
+  EXPECT_EQ(values[0], static_cast<std::int64_t>(threshold + 1));
+  EXPECT_EQ(values[1], static_cast<std::int64_t>(threshold + 1));
 }
 
 TEST(SolverRankTest, StaticNeverSwitches) {
