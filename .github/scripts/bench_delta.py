@@ -10,13 +10,14 @@ signal to read, not a gate.  Headline metrics compared:
 
   BENCH_solver.json     props/sec per suite row (solver-core throughput)
   BENCH_portfolio.json  race-setup encode-once speedup, total race
-                        ratios, lemma-sharing and rank-sharing counters
+                        ratios, lemma-sharing counters
   BENCH_tape.json       wall time per google-benchmark tape row: replay
                         into one solver, three entrants replaying at
                         once, and the per-depth preprocessing passes
 
 Missing files / keys degrade to "n/a" so the very first run (empty
-trajectory) still prints a table that later runs can diff against.
+trajectory) still prints a table that later runs can diff against, and
+keys an older artifact still carries for removed rows are ignored.
 """
 
 import json
@@ -135,14 +136,6 @@ def main():
              lambda d: d.get("total_clauses_exported"), None),
             ("lemmas imported (sharing races)",
              lambda d: d.get("total_clauses_imported"), None),
-            # rank_* counters arrived after the sharing ones; artifacts
-            # from older runs simply lack the keys and print "n/a".
-            ("rank-sharing race ratio vs lemma-only race",
-             lambda d: d.get("total_rank_ratio_vs_share"), False),
-            ("cores published (rank-sharing races)",
-             lambda d: d.get("total_ranks_published"), None),
-            ("rank refreshes (rank-sharing races)",
-             lambda d: d.get("total_rank_refreshes"), None),
             # Cancel latency (verdict -> last loser stopped) is reported
             # informationally: microsecond wall times on shared runners
             # are too noisy to gate on.
@@ -311,7 +304,7 @@ def main():
         print("_no BENCH_service.json in the current run_")
         print()
 
-    # ---- memory: arena pauses + rank demotion + process peak -------------
+    # ---- memory: arena pauses + process peak ------------------------------
     prev_m = load(prev_dir, "BENCH_memory.json") or {}
     cur_m = load(cur_dir, "BENCH_memory.json") or {}
     if cur_m:
@@ -326,12 +319,6 @@ def main():
             ("arena GC pause p99, us",
              lambda d: ((d.get("pauses") or {})
                         .get("arena.gc_pause_us") or {}).get("p99_us")),
-            ("demoted-rank race wall, sec",
-             lambda d: ((d.get("rank_row") or {})
-                        .get("demoted") or {}).get("wall_sec")),
-            ("forced-rank race wall, sec",
-             lambda d: ((d.get("rank_row") or {})
-                        .get("forced") or {}).get("wall_sec")),
             ("peak RSS, kB (bench_memory process)",
              lambda d: (d.get("process") or {}).get("vm_hwm_kb")),
         ]

@@ -3,8 +3,9 @@
 
 The one contract that matters for the trajectory job: ANY artifact shape
 — missing files, missing keys (e.g. a previous run from before the
-rank_* counters existed), empty dirs — must degrade to "n/a" cells and
-exit 0, never crash.  Run directly: python3 bench_delta_test.py
+preprocess_* counters existed), keys of removed rows, empty dirs — must
+degrade to "n/a" cells and exit 0, never crash.  Run directly:
+python3 bench_delta_test.py
 """
 
 import io
@@ -36,15 +37,12 @@ def run_delta(prev_dir, cur_dir):
     return rc, out.getvalue()
 
 
-# A current-run portfolio artifact with the full key set, rank_* included.
+# A current-run portfolio artifact with the full key set.
 CURRENT_PORTFOLIO = {
     "total_ratio": 1.1,
     "total_share_ratio_vs_plain": 0.95,
     "total_clauses_exported": 3000,
     "total_clauses_imported": 48000,
-    "total_rank_ratio_vs_share": 0.97,
-    "total_ranks_published": 120,
-    "total_rank_refreshes": 14,
     "race_setup": {"speedup": 5.8},
     "max_cancel_latency_us": 850,
     "total_vars_eliminated": 900,
@@ -64,25 +62,36 @@ class BenchDeltaTest(unittest.TestCase):
         self.assertIn("no BENCH_solver.json rows", out)
         self.assertIn("no BENCH_portfolio.json", out)
 
-    def test_previous_artifact_missing_rank_keys(self):
-        # The old-vs-new diff the CI job actually performs right after
-        # this PR lands: the previous run's BENCH_portfolio.json predates
-        # the rank_* counters.  Every rank row must print with an "n/a"
-        # previous cell instead of raising.
-        old = {k: v for k, v in CURRENT_PORTFOLIO.items()
-               if not k.startswith("total_rank")}
+    def test_older_artifact_with_removed_rank_keys(self):
+        # Older runs raced a third, rank-sharing regime and recorded a
+        # rank-demotion race pair in BENCH_memory.json.  Diffing such an
+        # artifact against a current one must neither crash nor print
+        # rows for the removed keys.
+        old_portfolio = dict(CURRENT_PORTFOLIO,
+                             total_rank_ratio_vs_share=0.97,
+                             total_ranks_published=120,
+                             total_rank_refreshes=14)
+        old_memory = {
+            "rank_row": {
+                "demoted": {"wall_sec": 0.08, "ranks_published": 0},
+                "forced": {"wall_sec": 0.09, "ranks_published": 40},
+            },
+            "process": {"vm_hwm_kb": 9000},
+        }
         with tempfile.TemporaryDirectory() as prev, \
                 tempfile.TemporaryDirectory() as cur:
-            write_json(prev, "BENCH_portfolio.json", old)
+            write_json(prev, "BENCH_portfolio.json", old_portfolio)
+            write_json(prev, "BENCH_memory.json", old_memory)
             write_json(cur, "BENCH_portfolio.json", CURRENT_PORTFOLIO)
+            write_json(cur, "BENCH_memory.json",
+                       {"process": {"vm_hwm_kb": 9600}})
             rc, out = run_delta(prev, cur)
         self.assertEqual(rc, 0)
-        for label in ("rank-sharing race ratio vs lemma-only race",
-                      "cores published (rank-sharing races)",
-                      "rank refreshes (rank-sharing races)"):
-            row = [l for l in out.splitlines() if label in l]
-            self.assertEqual(len(row), 1, label)
-            self.assertIn("n/a", row[0])
+        self.assertIn("| lemmas exported (sharing races) | 3,000 | 3,000 "
+                      "| +0.0% |", out)
+        self.assertIn("| peak RSS, kB (bench_memory process) | 9,000 "
+                      "| 9,600 | +6.7% |", out)
+        self.assertNotIn("rank", out)
 
     def test_previous_artifact_missing_preprocess_keys(self):
         # Same diff one PR later: the previous run's artifact predates
@@ -104,22 +113,6 @@ class BenchDeltaTest(unittest.TestCase):
             row = [l for l in out.splitlines() if label in l]
             self.assertEqual(len(row), 1, label)
             self.assertIn("n/a", row[0])
-
-    def test_rank_metrics_diff_when_both_present(self):
-        prev_doc = dict(CURRENT_PORTFOLIO,
-                        total_ranks_published=100,
-                        total_rank_refreshes=7)
-        with tempfile.TemporaryDirectory() as prev, \
-                tempfile.TemporaryDirectory() as cur:
-            write_json(prev, "BENCH_portfolio.json", prev_doc)
-            write_json(cur, "BENCH_portfolio.json", CURRENT_PORTFOLIO)
-            rc, out = run_delta(prev, cur)
-        self.assertEqual(rc, 0)
-        row = [l for l in out.splitlines()
-               if "cores published (rank-sharing races)" in l][0]
-        self.assertIn("100", row)
-        self.assertIn("120", row)
-        self.assertIn("+20.0%", row)
 
     def test_observability_keys_degrade_and_diff(self):
         # Previous run predates the tracing layer: no cancel latency, no
@@ -179,10 +172,6 @@ class BenchDeltaTest(unittest.TestCase):
             "pauses": {
                 "arena.chunk_alloc_us": {"count": 40, "p99_us": 63},
                 "arena.gc_pause_us": {"count": 2, "p99_us": 1023},
-            },
-            "rank_row": {
-                "demoted": {"wall_sec": 0.08, "ranks_published": 0},
-                "forced": {"wall_sec": 0.09, "ranks_published": 40},
             },
             "process": {"vm_hwm_kb": 9600},
         }

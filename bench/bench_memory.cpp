@@ -1,14 +1,12 @@
 // Formula-state footprint record (BENCH_memory.json) — the space half of
 // the bench trajectory, companion to bench_micro's throughput record.
 //
-// Three sections:
+// Two sections:
 //   * pauses    — the arena's chunk-allocation and GC pause histograms
 //                 from a metrics-enabled end-to-end run (the chunked
 //                 arena's "no multi-ms realloc stall" claim, measured);
-//   * rank_row  — the same race twice, once with the shared rank source
-//                 demoted (lone consumer) and once forced, proving the
-//                 demoted lineup pays nothing for unused rank machinery;
-//   * process   — peak RSS (VmHWM) and the race tracker's own peak.
+//   * process   — peak RSS (VmHWM) and a two-entrant race tracker's own
+//                 peak.
 #include <cstdio>
 #include <cstring>
 #include <vector>
@@ -17,7 +15,6 @@
 #include "model/benchgen.hpp"
 #include "obs/metrics.hpp"
 #include "portfolio/scheduler.hpp"
-#include "util/timer.hpp"
 
 namespace {
 
@@ -81,39 +78,19 @@ int run() {
     w.end_object();
   }
 
-  // ---- rank demotion row -------------------------------------------------
-  // {Static, Evsids} has one rank consumer: the scheduler demotes the
-  // shared source and the lone consumer keeps its engine-private loop.
-  // The forced twin materialises the shared source anyway; the delta
-  // between the two is the machinery cost the demotion saves.
+  // ---- race footprint ---------------------------------------------------
+  // The race-wide tracker's high-water mark (tape, both entrants' arenas
+  // and watcher heaps, the lemma pool) on the same grinding instance.
   std::uint64_t race_peak_mem = 0;
   {
     const model::Benchmark bm = model::needle(6, 6, 40, 50);
     bmc::EngineConfig cfg;
     cfg.max_depth = bm.suggested_bound;
-    const std::vector<bmc::OrderingPolicy> lineup = {
-        bmc::OrderingPolicy::Static, bmc::OrderingPolicy::Evsids};
-
-    w.key("rank_row");
-    w.begin_object();
-    w.kv("model", bm.name);
-    for (const bool force : {false, true}) {
-      portfolio::SharingConfig sharing;
-      sharing.rank_force = force;
-      portfolio::PortfolioScheduler sched(2, /*base_seed=*/31, sharing);
-      Timer t;
-      const portfolio::RaceResult race = sched.race(bm.net, 0, cfg, lineup);
-      const double wall = t.elapsed_sec();
-      if (!force) race_peak_mem = race.peak_mem_bytes;
-      w.key(force ? "forced" : "demoted");
-      w.begin_object();
-      w.kv("wall_sec", wall);
-      w.kv("rank_sharing", race.rank_sharing);
-      w.kv("ranks_published", race.ranks_published);
-      w.kv("rank_refreshes", race.rank_refreshes);
-      w.end_object();
-    }
-    w.end_object();
+    race_peak_mem =
+        portfolio::race(bm.net, 0, cfg,
+                        {bmc::OrderingPolicy::Static,
+                         bmc::OrderingPolicy::Evsids})
+            .peak_mem_bytes;
   }
 
   // ---- process footprint -------------------------------------------------

@@ -1,31 +1,27 @@
-// Portfolio scheduler bench: measures the two claims the subsystem makes.
+// Portfolio race bench: measures the claims the race makes.
 //
-//   $ ./bench_portfolio [--budget SECONDS-PER-RUN] [--quick]
-//                       [--threads-list 1,2,4] [--depth K]
+//   $ ./bench_portfolio [--budget SECONDS-PER-RUN] [--quick] [--depth K]
 //
-//  (a) shard throughput — the suite as a one-job-per-(netlist, property)
-//      batch, run at each worker count in --threads-list; wall-clock
-//      should shrink as workers are added (target: >= 1.5x at 4 threads);
-//  (b) race overhead — per instance, every policy run alone vs. the
+//  (a) race overhead — per instance, every policy run alone vs. the
 //      full-lineup race; race wall-clock should track the per-instance
-//      best policy (target: within 15% in total).  Each race runs three
-//      times: all exchange off (independent solvers), lemma sharing only
-//      (LBD-filtered clause exchange through the SharedClausePool), and
-//      lemma + rank sharing (cores merged in one SharedRankSource,
-//      refreshed mid-solve), with the exported/imported/published/
-//      refreshed counters recorded so the trajectory tooling can see
-//      each exchange actually firing;
+//      best policy (target: within 15% in total).  Each race runs twice:
+//      lemma exchange off (independent solvers) and on (LBD-filtered
+//      clause exchange through the SharedClausePool), with the
+//      exported/imported counters recorded so the trajectory tooling can
+//      see the exchange actually firing;
+//  (b) race setup — encode-once vs per-policy encoding;
+//  (c) a traced race, written as TRACE_race.json;
+//  (d) tape preprocessing — clause reduction and solve-time ratio.
 //
 // Results go to stdout and, machine-readably, to BENCH_portfolio.json.
-// Both targets assume the hardware can actually run the workers in
-// parallel: on a machine with fewer cores than workers the race degrades
-// to time-slicing (ratio ≈ #policies) and sharding cannot scale.  The
-// JSON records hw_threads so trajectory tooling can tell "regression"
-// from "ran on a small box".
+// The overhead target assumes the hardware can actually run the
+// entrants in parallel: on a machine with fewer cores than entrants the
+// race degrades to time-slicing (ratio ≈ #policies).  The JSON records
+// hw_threads so trajectory tooling can tell "regression" from "ran on a
+// small box".
 #include <algorithm>
 #include <cstdio>
 #include <exception>
-#include <stdexcept>
 #include <thread>
 
 #include "api/refbmc.hpp"
@@ -48,24 +44,6 @@ int run(int argc, char** argv) {
   const double budget = opts.get_double("budget", 5.0);
   const auto suite = opts.get_bool("quick", false) ? model::quick_suite()
                                                    : model::standard_suite();
-  std::vector<int> thread_counts;
-  for (const std::string& t : split_csv(opts.get("threads-list", "1,2,4"))) {
-    int n = 0;
-    try {
-      std::size_t pos = 0;
-      n = std::stoi(t, &pos);
-      if (pos != t.size()) throw std::invalid_argument(t);
-    } catch (const std::exception&) {
-      throw std::invalid_argument("option --threads-list expects integers, "
-                                  "got '" + t + "'");
-    }
-    if (n < 1)
-      throw std::invalid_argument("option --threads-list expects values >= 1");
-    thread_counts.push_back(n);
-  }
-  if (thread_counts.empty())
-    throw std::invalid_argument("option --threads-list is empty");
-
   const unsigned hw_threads = std::thread::hardware_concurrency();
   std::printf("hardware threads: %u\n\n", hw_threads);
 
@@ -76,77 +54,31 @@ int run(int argc, char** argv) {
   json.kv("budget_sec", budget);
   json.kv("hw_threads", static_cast<std::uint64_t>(hw_threads));
 
-  // ---- (a) shard throughput scaling ---------------------------------------
-  const auto make_jobs = [&](const model::Benchmark& bm) {
-    bmc::EngineConfig engine;
-    engine.policy = bmc::OrderingPolicy::Dynamic;
-    engine.max_depth = opts.get_int("depth", bm.suggested_bound);
-    engine.per_instance_time_limit_sec = budget;
-    return shard_properties(bm.net, engine, bm.name);
-  };
-  std::vector<Job> jobs;
-  for (const auto& bm : suite)
-    for (Job& job : make_jobs(bm)) jobs.push_back(std::move(job));
-
-  std::printf("shard throughput: %zu jobs\n", jobs.size());
-  std::printf("%8s %10s %10s\n", "threads", "wall(s)", "speedup");
-  json.key("shard");
-  json.begin_array();
-  double wall_first = 0.0;
-  for (std::size_t i = 0; i < thread_counts.size(); ++i) {
-    const int threads = thread_counts[i];
-    PortfolioScheduler scheduler(threads);
-    const BatchReport report = scheduler.run_batch(jobs);
-    if (i == 0) wall_first = report.wall_time_sec;
-    const double speedup =
-        report.wall_time_sec > 0.0 ? wall_first / report.wall_time_sec : 0.0;
-    std::printf("%8d %10.3f %10.2f\n", threads, report.wall_time_sec, speedup);
-    json.begin_object();
-    json.kv("threads", threads);
-    json.kv("wall_sec", report.wall_time_sec);
-    json.kv("sequential_equivalent_sec", report.total_job_time_sec());
-    json.kv("speedup_vs_first", speedup);
-    json.kv("steals", report.steals);
-    json.kv("counterexamples",
-            static_cast<std::uint64_t>(report.counterexamples()));
-    json.kv("resource_limits",
-            static_cast<std::uint64_t>(report.resource_limits()));
-    json.end_object();
-  }
-  json.end_array();
-
-  // ---- (b) race vs. best single policy, by exchange regime ----------------
-  // Three exchange regimes, same seed: all exchange off (the PR 3
-  // baseline race), lemma sharing only (the PR 4 regime, isolating the
-  // clause exchange), and lemma + rank sharing (shared ordering on
-  // top).  Each race is one api::check — the bench exercises the same
-  // façade entry the examples and the job server use — while the
-  // single-policy baselines stay on scheduler-level run_job (a race of
-  // one would add thread overhead to the very number being compared).
-  // The share/rank columns show whether portfolio diversity compounds
-  // or the instance is too easy to learn anything worth exchanging.
-  // NB: like the race itself, the exchange payoff needs real
-  // parallelism; on a box with fewer cores than entrants the wall-clock
-  // comparison degrades to time-slicing noise while the counters stay
-  // meaningful.
+  // ---- (a) race vs. best single policy, by exchange regime ----------------
+  // Two exchange regimes: lemma exchange off (independent solvers) and
+  // on (the default), isolating the clause exchange.  Each race is one
+  // api::check — the bench exercises the same façade entry the examples
+  // and the job server use — while the single-policy baselines stay on
+  // run_job (a race of one would add thread overhead to the very number
+  // being compared).  The share columns show whether portfolio
+  // diversity compounds or the instance is too easy to learn anything
+  // worth exchanging.  NB: like the race itself, the exchange payoff
+  // needs real parallelism; on a box with fewer cores than entrants the
+  // wall-clock comparison degrades to time-slicing noise while the
+  // counters stay meaningful.
   const auto policies = default_race_policies();
   api::RaceOptions plain_race;
-  plain_race.seed(1).share(false).share_rank(false);
-  api::RaceOptions lemma_race;
-  lemma_race.seed(1).share(true).share_rank(false);
-  api::RaceOptions rank_race;  // defaults: lemma + rank exchange on
+  plain_race.share(false);
+  api::RaceOptions lemma_race;  // defaults: lemma exchange on
 
-  std::printf(
-      "\nrace vs. best single policy (plain / lemma-sharing / +rank)\n");
-  std::printf("%-26s %10s %-12s %10s %10s %10s %7s %9s %9s %6s %6s\n",
-              "model", "best(s)", "best-policy", "race(s)", "share(s)",
-              "rank(s)", "ratio", "exported", "imported", "publ", "refr");
+  std::printf("\nrace vs. best single policy (plain / lemma-sharing)\n");
+  std::printf("%-26s %10s %-12s %10s %10s %7s %9s %9s\n", "model",
+              "best(s)", "best-policy", "race(s)", "share(s)", "ratio",
+              "exported", "imported");
   json.key("race");
   json.begin_array();
   double total_best = 0.0, total_race = 0.0, total_race_share = 0.0;
-  double total_race_rank = 0.0;
   std::uint64_t total_exported = 0, total_imported = 0;
-  std::uint64_t total_published = 0, total_refreshes = 0;
   std::uint64_t max_cancel_latency = 0;
   const auto race_once = [&](const model::Benchmark& bm,
                              const api::RaceOptions& regime, int depth) {
@@ -180,28 +112,19 @@ int run(int argc, char** argv) {
 
     const api::CheckResult race = race_once(bm, plain_race, depth);
     const api::CheckResult shared = race_once(bm, lemma_race, depth);
-    const api::CheckResult ranked = race_once(bm, rank_race, depth);
     const double ratio = best_sec > 0.0 ? race.wall_time_sec / best_sec : 0.0;
     total_best += best_sec;
     total_race += race.wall_time_sec;
     total_race_share += shared.wall_time_sec;
-    total_race_rank += ranked.wall_time_sec;
     total_exported += shared.clauses_exported;
     total_imported += shared.clauses_imported;
-    total_published += ranked.ranks_published;
-    total_refreshes += ranked.rank_refreshes;
-    max_cancel_latency =
-        std::max({max_cancel_latency, race.cancel_latency_us,
-                  shared.cancel_latency_us, ranked.cancel_latency_us});
-    std::printf(
-        "%-26s %10.3f %-12s %10.3f %10.3f %10.3f %7.2f %9llu %9llu %6llu "
-        "%6llu\n",
-        bm.name.c_str(), best_sec, to_string(best_policy),
-        race.wall_time_sec, shared.wall_time_sec, ranked.wall_time_sec,
-        ratio, static_cast<unsigned long long>(shared.clauses_exported),
-        static_cast<unsigned long long>(shared.clauses_imported),
-        static_cast<unsigned long long>(ranked.ranks_published),
-        static_cast<unsigned long long>(ranked.rank_refreshes));
+    max_cancel_latency = std::max({max_cancel_latency, race.cancel_latency_us,
+                                   shared.cancel_latency_us});
+    std::printf("%-26s %10.3f %-12s %10.3f %10.3f %7.2f %9llu %9llu\n",
+                bm.name.c_str(), best_sec, to_string(best_policy),
+                race.wall_time_sec, shared.wall_time_sec, ratio,
+                static_cast<unsigned long long>(shared.clauses_exported),
+                static_cast<unsigned long long>(shared.clauses_imported));
     json.begin_object();
     json.kv("name", bm.name);
     json.kv("best_sec", best_sec);
@@ -222,26 +145,15 @@ int run(int argc, char** argv) {
                 : 0.0);
     json.kv("clauses_exported", shared.clauses_exported);
     json.kv("clauses_imported", shared.clauses_imported);
-    json.kv("race_rank_sec", ranked.wall_time_sec);
-    json.kv("race_rank_winner",
-            ranked.winner_policy.empty() ? "-" : ranked.winner_policy);
-    json.kv("race_rank_verdict", api::to_string(ranked.status));
-    json.kv("rank_ratio_vs_share",
-            shared.wall_time_sec > 0.0
-                ? ranked.wall_time_sec / shared.wall_time_sec
-                : 0.0);
-    json.kv("ranks_published", ranked.ranks_published);
-    json.kv("rank_refreshes", ranked.rank_refreshes);
     // Cancellation latency per exchange regime: verdict -> last loser
-    // actually stopped (the satellite metric of the observability PR).
+    // actually stopped.
     json.kv("cancel_latency_us", race.cancel_latency_us);
     json.kv("cancel_latency_share_us", shared.cancel_latency_us);
-    json.kv("cancel_latency_rank_us", ranked.cancel_latency_us);
     json.end_object();
   }
   json.end_array();
 
-  // ---- (c) race setup: encode-once vs per-policy encoding -----------------
+  // ---- (b) race setup: encode-once vs per-policy encoding -----------------
   // The PR 1 race had every entrant unroll its own copy of the instance;
   // entrants now replay one shared tape.  Measure both disciplines on the
   // suite's deepest instance: P independent encodings vs one encoding
@@ -294,7 +206,7 @@ int run(int argc, char** argv) {
     json.end_object();
   }
 
-  // ---- (d) traced race: one full-exchange race under the obs layer --------
+  // ---- (c) traced race: one lemma-sharing race under the obs layer -------
   // Records the race timeline (per-depth encode/simplify/solve spans,
   // solver milestones, job lifecycle) and exports it as Chrome
   // trace-event JSON — TRACE_race.json rides along with BENCH_*.json as
@@ -308,8 +220,7 @@ int run(int argc, char** argv) {
     tc.buffer_events = 64 * 1024;
     obs::trace_begin(tc);
     obs::trace_set_thread_track("driver");
-    PortfolioScheduler racer_rank(static_cast<int>(policies.size()));
-    const RaceResult traced = racer_rank.race(bm.net, 0, engine, policies);
+    const RaceResult traced = race(bm.net, 0, engine, policies);
     const obs::TraceDump dump = obs::trace_end();
     const bool trace_written =
         obs::write_chrome_trace_file("TRACE_race.json", dump);
@@ -335,7 +246,7 @@ int run(int argc, char** argv) {
                                   traced.cancel_latency_us);
   }
 
-  // ---- (e) tape preprocessing: clause reduction and solve-time ratio ------
+  // ---- (d) tape preprocessing: clause reduction and solve-time ratio ------
   // The PR 7 claim: BVE + subsumption over the encoded tape shrinks the
   // formula every scratch entrant replays, without changing any verdict.
   // Per model: formula size at the suggested bound with and without the
@@ -436,13 +347,10 @@ int run(int argc, char** argv) {
   const double total_ratio = total_best > 0.0 ? total_race / total_best : 0.0;
   std::printf(
       "\nTOTAL best %.3fs, race %.3fs (ratio %.2f), sharing race %.3fs "
-      "(%llu exported, %llu imported), rank-sharing race %.3fs "
-      "(%llu cores published, %llu refreshes)\n",
+      "(%llu exported, %llu imported)\n",
       total_best, total_race, total_ratio, total_race_share,
       static_cast<unsigned long long>(total_exported),
-      static_cast<unsigned long long>(total_imported), total_race_rank,
-      static_cast<unsigned long long>(total_published),
-      static_cast<unsigned long long>(total_refreshes));
+      static_cast<unsigned long long>(total_imported));
   json.kv("total_best_sec", total_best);
   json.kv("total_race_sec", total_race);
   json.kv("total_ratio", total_ratio);
@@ -451,11 +359,6 @@ int run(int argc, char** argv) {
           total_race > 0.0 ? total_race_share / total_race : 0.0);
   json.kv("total_clauses_exported", total_exported);
   json.kv("total_clauses_imported", total_imported);
-  json.kv("total_race_rank_sec", total_race_rank);
-  json.kv("total_rank_ratio_vs_share",
-          total_race_share > 0.0 ? total_race_rank / total_race_share : 0.0);
-  json.kv("total_ranks_published", total_published);
-  json.kv("total_rank_refreshes", total_refreshes);
   json.kv("max_cancel_latency_us", max_cancel_latency);
   json.kv("total_vars_eliminated", total_vars_eliminated);
   json.kv("total_clauses_subsumed", total_clauses_subsumed);

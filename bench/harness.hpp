@@ -44,8 +44,6 @@ inline void write_depth_stats(JsonWriter& w, const bmc::DepthStats& d) {
   w.kv("clauses_imported", d.clauses_imported);
   w.kv("import_propagations", d.import_propagations);
   w.kv("ranks_published", d.ranks_published);
-  w.kv("rank_refreshes", d.rank_refreshes);
-  w.kv("rank_epoch", d.rank_epoch);
   w.kv("time_sec", d.time_sec);
   // Phase split of time_sec (obs layer, PR 6): where this depth's wall
   // time went — formula growth, encoder simplification, SAT search.
@@ -76,7 +74,7 @@ inline void write_depth_stats(JsonWriter& w, const bmc::DepthStats& d) {
 inline void write_solver_core_totals(JsonWriter& w,
                                      const bmc::BmcResult& result) {
   std::uint64_t bin = 0, skips = 0, exported = 0, imported = 0;
-  std::uint64_t published = 0, refreshes = 0;
+  std::uint64_t published = 0;
   double solve_time = 0.0;
   for (const auto& d : result.per_depth) {
     bin += d.binary_propagations;
@@ -84,7 +82,6 @@ inline void write_solver_core_totals(JsonWriter& w,
     exported += d.clauses_exported;
     imported += d.clauses_imported;
     published += d.ranks_published;
-    refreshes += d.rank_refreshes;
     solve_time += d.time_sec;
   }
   const std::uint64_t props = result.total_propagations();
@@ -96,7 +93,6 @@ inline void write_solver_core_totals(JsonWriter& w,
   w.kv("clauses_exported", exported);
   w.kv("clauses_imported", imported);
   w.kv("ranks_published", published);
-  w.kv("rank_refreshes", refreshes);
   w.kv("solve_time_sec", solve_time);
   w.kv("props_per_sec",
        solve_time > 0.0 ? static_cast<double>(props) / solve_time : 0.0);

@@ -38,14 +38,6 @@ RaceOptions& RaceOptions::budget_sec(double sec) {
   cli_.budget_sec = sec;
   return *this;
 }
-RaceOptions& RaceOptions::threads(int n) {
-  cli_.num_threads = n;
-  return *this;
-}
-RaceOptions& RaceOptions::seed(std::uint64_t s) {
-  cli_.seed = s;
-  return *this;
-}
 RaceOptions& RaceOptions::incremental(bool on) {
   cli_.incremental = on;
   return *this;
@@ -80,10 +72,6 @@ RaceOptions& RaceOptions::share_size(int size) {
 }
 RaceOptions& RaceOptions::share_cap(int clauses) {
   cli_.share_cap = clauses;
-  return *this;
-}
-RaceOptions& RaceOptions::share_rank(bool on) {
-  cli_.share_rank = on;
   return *this;
 }
 RaceOptions& RaceOptions::core_weighting(const std::string& name) {
@@ -128,7 +116,6 @@ std::uint64_t CheckResult::total_conflicts() const {
 CheckResult check(const CheckRequest& request, const CheckHooks& hooks) {
   portfolio::ResolvedPortfolio r = request.options.resolve();
   r.engine.stop = hooks.stop;
-  r.engine.rank_source = hooks.rank_source;
   r.engine.on_depth = hooks.on_depth;
   if (hooks.deadline_sec > 0.0)
     r.engine.total_time_limit_sec =
@@ -136,10 +123,8 @@ CheckResult check(const CheckRequest& request, const CheckHooks& hooks) {
             ? std::min(r.engine.total_time_limit_sec, hooks.deadline_sec)
             : hooks.deadline_sec;
 
-  const portfolio::PortfolioScheduler scheduler(r.num_threads, r.seed,
-                                                r.sharing);
-  const portfolio::RaceResult race =
-      scheduler.race(request.net, request.bad_index, r.engine, r.policies);
+  const portfolio::RaceResult race = portfolio::race(
+      request.net, request.bad_index, r.engine, r.policies, r.sharing);
 
   CheckResult out;
   out.status = race.status();
@@ -147,8 +132,9 @@ CheckResult check(const CheckRequest& request, const CheckHooks& hooks) {
   out.frames_encoded = race.frames_encoded;
   out.clauses_exported = race.clauses_exported;
   out.clauses_imported = race.clauses_imported;
-  out.ranks_published = race.ranks_published;
-  out.rank_refreshes = race.rank_refreshes;
+  for (const auto& e : race.entrants)
+    for (const auto& d : e.result.per_depth)
+      out.ranks_published += d.ranks_published;
   out.cancel_latency_us = race.cancel_latency_us;
   out.peak_mem_bytes = race.peak_mem_bytes;
   out.mem_limit_hit = race.mem_limit_hit;
@@ -222,7 +208,7 @@ std::uint64_t config_fingerprint(const RaceOptions& options) {
     mix(tag, bits);
   };
 
-  // The formula component — shared verbatim with the shard GroupKey.
+  // The formula component.
   mix(0x10, bmc::formula_fingerprint(r.engine));
   // The search component: everything else that can change a verdict, a
   // trace or a per-depth counter.
@@ -235,13 +221,10 @@ std::uint64_t config_fingerprint(const RaceOptions& options) {
   mix(0x16, static_cast<std::uint64_t>(r.engine.weighting));
   mix(0x18, static_cast<std::uint64_t>(r.engine.solver.glue_lbd));
   mix(0x19, static_cast<std::uint64_t>(r.engine.solver.tier_lbd));
-  mix(0x1c, static_cast<std::uint64_t>(r.num_threads));
-  mix(0x1d, r.seed);
   mix(0x1e, r.sharing.enabled ? 1 : 0);
   mix(0x1f, static_cast<std::uint64_t>(r.sharing.lbd_max));
   mix(0x20, static_cast<std::uint64_t>(r.sharing.size_max));
   mix(0x21, static_cast<std::uint64_t>(r.sharing.capacity));
-  mix(0x22, r.sharing.rank ? 1 : 0);
   mix(0x23, static_cast<std::uint64_t>(
                 r.engine.preprocess.bve_max_resolvent));
   // The memory ceiling changes when a run is cut off, hence verdicts —

@@ -7,7 +7,7 @@
 //   const api::CheckResult res = api::check(req);
 //
 // Everything underneath — the portfolio race over decision-ordering
-// policies, encode-once formula tapes, lemma/rank exchange, preprocessing
+// policies, encode-once formula tapes, lemma exchange, preprocessing
 // and the incremental fast path — is reached exclusively through
 // RaceOptions, a builder over the same knob set the CLI exposes.  The
 // examples, the benches, the one-shot CLIs and the job server
@@ -17,9 +17,8 @@
 //
 // Identity functions for the serving layer live here too:
 // config_fingerprint hashes every behaviour-affecting option (and embeds
-// bmc::formula_fingerprint, the same function the shard grouping keys
-// on), so "same request" means the same thing to the result cache as
-// "same formula" means to the clause-sharing groups.
+// bmc::formula_fingerprint), so "same request" means the same thing to
+// the result cache as "same formula" means to the engine.
 #pragma once
 
 #include <atomic>
@@ -40,10 +39,10 @@ struct ResolvedPortfolio;
 namespace refbmc::api {
 
 /// Builder-style configuration of one check: wraps the CLI-level
-/// PortfolioConfig (threads, policies, budget, sharing, preprocessing,
-/// ...) plus the engine-level bad mode, behind chainable setters.
-/// Invalid *values* (unknown or repeated policy name, tier below glue,
-/// zero threads) surface at resolve time — i.e. inside api::check and
+/// PortfolioConfig (policies, budget, sharing, preprocessing, ...) plus
+/// the engine-level bad mode, behind chainable setters.  Invalid
+/// *values* (unknown or repeated policy name, tier below glue, negative
+/// depth) surface at resolve time — i.e. inside api::check and
 /// JobServer::submit — as std::invalid_argument, exactly like the CLI
 /// path, because they go through the same checks
 /// (PortfolioConfig::validate).
@@ -52,7 +51,7 @@ class RaceOptions {
   RaceOptions() = default;
 
   /// The one shared CLI path (satisfying every example/bench/daemon):
-  /// all PortfolioConfig flags (--threads, --policies, --depth, --budget,
+  /// all PortfolioConfig flags (--policies, --depth, --budget,
   /// --share*, --preprocess, ... see util/options.hpp) plus the
   /// engine-level spellings the one-shot examples grew over time:
   /// `--policy P` (single-policy lineup), `--bound N` (alias of
@@ -64,8 +63,6 @@ class RaceOptions {
   RaceOptions& policy(const std::string& name);  // single-entrant lineup
   RaceOptions& max_depth(int depth);
   RaceOptions& budget_sec(double sec);
-  RaceOptions& threads(int n);
-  RaceOptions& seed(std::uint64_t s);
   RaceOptions& incremental(bool on);
   RaceOptions& simplify(bool on);
   RaceOptions& bad_mode(bmc::BadMode mode);
@@ -75,7 +72,6 @@ class RaceOptions {
   RaceOptions& share_lbd(int lbd);
   RaceOptions& share_size(int size);
   RaceOptions& share_cap(int clauses);
-  RaceOptions& share_rank(bool on);
   RaceOptions& core_weighting(const std::string& name);
   RaceOptions& preprocess(bool on);
   RaceOptions& bve_budget(int occurrences);
@@ -131,7 +127,12 @@ struct CheckResult {
   std::uint64_t frames_encoded = 0;
   std::uint64_t clauses_exported = 0;
   std::uint64_t clauses_imported = 0;
+  /// Cores every entrant added to its own CoreRanking: the sum of their
+  /// per-depth DepthStats::ranks_published.
   std::uint64_t ranks_published = 0;
+  /// Always 0: entrants no longer exchange rankings mid-solve.  Kept
+  /// only because the end-to-end benchmark (bench/e2e/closed_loop.hpp)
+  /// still reads it; it goes with that benchmark row.
   std::uint64_t rank_refreshes = 0;
   std::uint64_t cancel_latency_us = 0;
   /// Race-wide formula-state footprint high-water mark, and whether a
@@ -166,10 +167,6 @@ struct CheckHooks {
   /// Cooperative cancel: observed at depth / solver checkpoint
   /// boundaries.  Not owned; must outlive the call.
   const std::atomic<bool>* stop = nullptr;
-  /// Ordering warm start: when non-null the race exchanges ranks through
-  /// this source (seed it beforehand, snapshot it afterwards) instead of
-  /// a race-private one.  Not owned.
-  bmc::RankSource* rank_source = nullptr;
   /// Per-depth progress stream (every entrant reports; must be
   /// thread-safe — see bmc::EngineConfig::on_depth).
   std::function<void(const bmc::DepthStats&)> on_depth;
@@ -207,12 +204,12 @@ class ObservabilityScope {
 
 /// Fingerprint of every behaviour-affecting option in `options` — the
 /// config component of the service's cache key.  Embeds
-/// bmc::formula_fingerprint (the shard GroupKey component), so the two
-/// layers can never disagree about formula identity; on top of it hashes
-/// the search-affecting knobs: policy lineup (which also fixes each
-/// entrant's decision scorer), threads, seed, budget, incremental mode
-/// (which also fixes the assumption savepoint), reduceDB tiers, the
-/// whole sharing family and the memory ceiling.
+/// bmc::formula_fingerprint, so the cache and the engine can never
+/// disagree about formula identity; on top of it hashes the
+/// search-affecting knobs: policy lineup (which also fixes each
+/// entrant's decision scorer), depth, budget, incremental mode (which
+/// also fixes the assumption savepoint), core weighting, reduceDB tiers,
+/// the lemma-sharing family and the memory ceiling.
 /// Observability settings (trace/metrics files) are deliberately
 /// excluded — they never change a verdict or a counter.
 std::uint64_t config_fingerprint(const RaceOptions& options);

@@ -62,18 +62,12 @@ std::uint64_t BmcResult::total_conflicts() const {
 
 BmcEngine::BmcEngine(const model::Netlist& net, EngineConfig config,
                      std::size_t bad_index)
-    : net_(net), config_(config), bad_index_(bad_index) {
+    : net_(net),
+      config_(config),
+      bad_index_(bad_index),
+      ranking_(config.weighting) {
   REFBMC_EXPECTS(config_.start_depth >= 0);
   REFBMC_EXPECTS(config_.max_depth >= config_.start_depth);
-  if (config_.rank_source != nullptr) {
-    REFBMC_EXPECTS_MSG(
-        config_.rank_source->weighting() == config_.weighting,
-        "shared rank source weighting does not match the engine's");
-    rank_ = config_.rank_source;
-  } else {
-    owned_rank_ = std::make_unique<LocalRankSource>(config_.weighting);
-    rank_ = owned_rank_.get();
-  }
   if (config_.shared_tape != nullptr) {
     SharedTape& shared = *config_.shared_tape;
     REFBMC_EXPECTS_MSG(&shared.net() == &net_ &&
@@ -197,17 +191,10 @@ BmcResult BmcEngine::run() {
 
     // sat_check(F, varRank): project the accumulated model-axis scores
     // down to this instance's CNF variables through the origin map.
-    std::uint64_t rank_epoch = 0;
     if (config_.policy == OrderingPolicy::Shtrichman) {
       solver.set_variable_rank(shtrichman_rank(solver, prep.property_lit));
     } else if (uses_core_ranking()) {
-      solver.set_variable_rank(rank_->project(session->origin(), &rank_epoch));
-      if (config_.rank_source != nullptr) {
-        // Shared ordering: rivals may publish cores while this depth
-        // solves; the solver re-projects at restart boundaries.
-        rank_refresher_.bind(*rank_, session->origin(), rank_epoch);
-        solver.set_rank_refresh(&rank_refresher_);
-      }
+      solver.set_variable_rank(ranking_.project(session->origin()));
     }
 
     // Engine-level limits take precedence; otherwise any per-solve budget
@@ -247,16 +234,13 @@ BmcResult BmcEngine::run() {
         solver.stats().clauses_imported - before.clauses_imported;
     stats.import_propagations =
         solver.stats().import_propagations - before.import_propagations;
-    stats.rank_refreshes =
-        solver.stats().rank_refreshes - before.rank_refreshes;
-    stats.rank_epoch = rank_epoch;
     stats.peak_bytes = mem_->peak();
     stats.arena_bytes = solver.clause_db().arena().allocated_bytes();
     stats.tape_bytes = tape_->memory_bytes();
     stats.time_sec = solver.stats().solve_time_sec - before.solve_time_sec;
     stats.cnf_vars = prep.cnf_vars;
     stats.cnf_clauses = prep.cnf_clauses;
-    const EncodeStats encode = tape_->stats_at(k);
+    const EncodeStats& encode = prep.depth.encode;
     stats.simplified_vars_removed = encode.vars_removed;
     stats.simplified_clauses_removed = encode.clauses_removed;
     stats.rank_switched = solver.stats().rank_switched;
@@ -273,24 +257,22 @@ BmcResult BmcEngine::run() {
     stats.retired_frame_clauses =
         solver.stats().retired_frame_clauses - retired_seen;
     retired_seen = solver.stats().retired_frame_clauses;
-    if (config_.preprocess.enabled) {
-      // Depth k's delta pass ran (cached) inside prepare(); pull its
-      // counters.  In a race every entrant reports the same numbers — the
-      // pass is per-depth, race-wide, like the encode itself.
-      const PreprocessStats ps = tape_->preprocess_stats_at(k);
-      stats.vars_eliminated = ps.vars_eliminated;
-      stats.clauses_subsumed = ps.clauses_subsumed;
-      stats.lits_strengthened = ps.lits_strengthened;
-      stats.preprocess_us = ps.preprocess_us;
-    }
+    // Depth k's delta pass ran (cached) inside prepare(); its counters
+    // came back with the replay (zero with preprocessing off).  In a race
+    // every entrant reports the same numbers — the pass is per-depth,
+    // race-wide, like the encode itself.
+    const PreprocessStats& ps = prep.depth.preprocess;
+    stats.vars_eliminated = ps.vars_eliminated;
+    stats.clauses_subsumed = ps.clauses_subsumed;
+    stats.lits_strengthened = ps.lits_strengthened;
+    stats.preprocess_us = ps.preprocess_us;
     // Phase split: prepare = this entrant's materialization cost; the
     // simplify share is the tape's fold/strash time for the frames that
     // became encoded at this depth (delta of the cumulative snapshots —
     // deterministic per k no matter which entrant triggered the encode).
     stats.encode_us = t_prep1 - t_prep0;
-    const std::uint64_t prev_simplify_ns =
-        k > 0 ? tape_->stats_at(k - 1).simplify_ns : 0;
-    stats.simplify_us = (encode.simplify_ns - prev_simplify_ns) / 1000;
+    stats.simplify_us =
+        (encode.simplify_ns - prep.depth.prev_simplify_ns) / 1000;
     stats.solve_us = t_solve1 - t_solve0;
     if (obs::trace_active()) {
       obs::trace_record_span(obs::EventKind::SpanEncode, t_prep0,
@@ -340,8 +322,7 @@ BmcResult BmcEngine::run() {
     }
 
     // UNSAT: the paper's update_ranking step — the core's variables are
-    // projected to the model axis and published into the RankSource
-    // (which a shared source fans out to every racing rival).
+    // projected to the model axis and added to the CoreRanking.
     if (scfg.track_cdg) {
       const std::vector<sat::ClauseId> core = solver.unsat_core();
       const std::vector<sat::Var> core_vars = solver.unsat_core_vars(core);
@@ -353,7 +334,7 @@ BmcResult BmcEngine::run() {
                           "extracted unsat core is not unsatisfiable");
       }
       if (uses_core_ranking()) {
-        rank_->publish(session->origin(), core_vars, k);
+        ranking_.update(session->origin(), core_vars, k);
         stats.ranks_published = 1;
       }
     }

@@ -1,23 +1,21 @@
 // The BMC engine: standard BMC and the paper's refine_order_bmc (Fig. 5),
-// grown around the encode-once formula pipeline and the portfolio's
-// ordering exchange.  Per depth k the one loop does:
+// grown around the encode-once formula pipeline.  Per depth k the one
+// loop does:
 //
 //   prepare  — the FormulaSession materialises instance k from the
 //              SharedTape: a fresh solver fed by replaying the tape
 //              (scratch) or one persistent solver with activation
 //              literals (incremental); the formula itself is encoded
 //              exactly once either way (session.hpp / tape.hpp);
-//   project  — the rank feed of sat_check(F, varRank): the RankSource's
-//              accumulated model-axis bmc_scores are pushed down to this
-//              instance's CNF variables through the session's origin map
-//              (rank_source.hpp);
+//   project  — the rank feed of sat_check(F, varRank): the engine's
+//              CoreRanking pushes its accumulated model-axis bmc_scores
+//              down to this instance's CNF variables through the
+//              session's origin map (ranking.hpp);
 //   solve    — SAT means counter-example (validated on the simulator);
-//   publish  — UNSAT means the core's variables are projected back to
-//              the model axis and published into the RankSource (the
-//              paper's bmc_score accumulation, §3.2), sharpening the
-//              ordering of depth k+1 — and, when the source is shared
-//              across a portfolio race, of every rival mid-solve: their
-//              solvers poll the source's epoch at restart boundaries.
+//   update   — UNSAT means the core's variables are projected back to
+//              the model axis and added to the CoreRanking (the paper's
+//              bmc_score accumulation, §3.2), sharpening the ordering of
+//              depth k+1.
 //
 // The ordering policy selects how the rank feed is used by the solver:
 //   Baseline   — ignored (pure Chaff VSIDS; the paper's "standard BMC");
@@ -38,7 +36,6 @@
 
 #include "bmc/cnf.hpp"
 #include "bmc/encoder.hpp"
-#include "bmc/rank_source.hpp"
 #include "bmc/ranking.hpp"
 #include "bmc/tape.hpp"
 #include "bmc/trace.hpp"
@@ -139,13 +136,6 @@ struct EngineConfig {
   /// This engine's producer id within the pool (unique per entrant, so
   /// its own lemmas are never handed back to it).
   int share_producer = 0;
-  /// Portfolio ordering exchange: when non-null the engine publishes its
-  /// unsat cores into — and projects its per-depth rank feed from — this
-  /// race-wide source instead of a private CoreRanking, and installs a
-  /// mid-solve refresh hook so its solver picks up rivals' cores at
-  /// restart boundaries (rank_source.hpp).  The source's weighting must
-  /// equal `weighting`.  Not owned; must outlive run().
-  RankSource* rank_source = nullptr;
   /// Collect unsat cores even for the baseline (costs the §3.1 overhead;
   /// the baseline of the paper's Table 1 runs with this off).
   bool always_track_cdg = false;
@@ -208,15 +198,10 @@ struct DepthStats {
   std::uint64_t clauses_exported = 0;
   std::uint64_t clauses_imported = 0;
   std::uint64_t import_propagations = 0;
-  /// Ordering feed at this depth: cores this engine published into its
-  /// RankSource (0/1 — one core per UNSAT depth of a core-ranking
-  /// policy, engine-private or shared alike), mid-solve rank refreshes
-  /// its solver applied (only a shared source can advance mid-solve, so
-  /// zero without one), and the accumulation epoch the depth's initial
-  /// projection was taken at.
+  /// Cores this engine added to its CoreRanking at this depth: 1 for an
+  /// UNSAT depth of a core-ranking policy (static, dynamic, replace),
+  /// else 0.
   std::uint64_t ranks_published = 0;
-  std::uint64_t rank_refreshes = 0;
-  std::uint64_t rank_epoch = 0;
   double time_sec = 0.0;
   /// Per-depth phase wall-times (µs), the split behind the obs spans:
   ///   encode_us   — this engine's prepare(k): shared-tape extension (for
@@ -308,12 +293,8 @@ class BmcEngine {
   /// Runs the loop of Fig. 5 (or plain BMC for the Baseline policy).
   BmcResult run();
 
-  /// Snapshot of the accumulated register-axis scores (inspectable
-  /// between runs; a shared source reports the race-wide merge).
-  CoreRanking ranking() const { return rank_->snapshot(); }
-  /// The ordering accumulation this engine feeds and projects from
-  /// (engine-owned LocalRankSource, or the race-wide shared one).
-  const RankSource& rank_source() const { return *rank_; }
+  /// The accumulated register-axis scores (inspectable between runs).
+  const CoreRanking& ranking() const { return ranking_; }
   /// The formula this engine solves from (shared or engine-owned).
   const SharedTape& tape() const { return *tape_; }
 
@@ -334,9 +315,7 @@ class BmcEngine {
   std::size_t bad_index_;
   std::unique_ptr<SharedTape> owned_tape_;  // when no shared tape given
   SharedTape* tape_;
-  std::unique_ptr<LocalRankSource> owned_rank_;  // when no shared source
-  RankSource* rank_;
-  RankProjector rank_refresher_;  // bound per depth under a shared source
+  CoreRanking ranking_;
   std::unique_ptr<MemTracker> owned_mem_;  // when no shared tracker given
   MemTracker* mem_;
 };
@@ -347,9 +326,8 @@ class BmcEngine {
 /// solver knobs, sharing).  Two configs with equal formula fingerprints
 /// on the same (netlist, bad index) produce identical tape variable
 /// spaces and identical eliminated-variable sets, so they may share a
-/// clause pool; the portfolio's shard grouping and the service's result
-/// cache both build on this one function, which is what keeps the two
-/// keys from drifting apart (asserted by the api fingerprint tests).
+/// clause pool.  api::config_fingerprint, the service's cache key, embeds
+/// it (asserted by the api fingerprint tests).
 std::uint64_t formula_fingerprint(const EngineConfig& config);
 
 /// BMC with an automatically computed completeness threshold (§2 of the

@@ -34,7 +34,7 @@
 //
 //   * Variable numbering is PRESERVED.  Eliminated tape variables simply
 //     never reach the solver (their var_map slot is sat::kVarUndef), so
-//     VarOrigin projection — extract_trace, CDG core vars, RankProjector,
+//     VarOrigin projection — extract_trace, CDG core vars, CoreRanking,
 //     PoolEndpoint — keeps working unchanged on the kept variables.
 //   * Every simplified clause is implied by the original tape range, so
 //     lemmas derived from the simplified formula are tape-implied and
@@ -143,10 +143,10 @@ class ClauseList {
   std::vector<std::uint32_t> ends_;  // one past each clause's last literal
 };
 
-/// Knobs for the tape pass.  Equality-comparable: shard groups and
-/// shared tapes must agree on the exact configuration or their solvers
-/// would race on different formulas (scheduler group key / engine
-/// shared-tape assert).
+/// Knobs for the tape pass.  Equality-comparable: a shared tape and the
+/// engines replaying it must agree on the exact configuration or their
+/// solvers would race on different formulas (the engine's shared-tape
+/// assert).
 struct PreprocessOptions {
   bool enabled = false;
   /// NiVER occurrence budget: variable v is a candidate only while

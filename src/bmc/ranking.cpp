@@ -12,6 +12,11 @@ std::optional<CoreWeighting> parse_core_weighting(std::string_view name) {
   return std::nullopt;
 }
 
+namespace {
+
+/// Projects a core's CNF variables onto the model axis through `origin`:
+/// one entry per touched node (in_unsat(x, j) is 0/1 per instance), the
+/// constant node skipped.
 std::unordered_set<model::NodeId> core_nodes(
     const std::vector<VarOrigin>& origin,
     const std::vector<sat::Var>& core_vars) {
@@ -24,6 +29,8 @@ std::unordered_set<model::NodeId> core_nodes(
   }
   return touched;
 }
+
+}  // namespace
 
 void CoreRanking::update(const std::vector<VarOrigin>& origin,
                          const std::vector<sat::Var>& core_vars, int k) {

@@ -18,7 +18,6 @@
 #include <optional>
 #include <string_view>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "bmc/cnf.hpp"
@@ -54,29 +53,10 @@ inline constexpr std::array<CoreWeighting, 4> all_core_weightings() {
 /// Returns nullopt for unknown names.
 std::optional<CoreWeighting> parse_core_weighting(std::string_view name);
 
-/// Projects a core's CNF variables onto the model axis through `origin`:
-/// one entry per touched node (in_unsat(x, j) is 0/1 per instance), the
-/// constant node skipped.  The single projection discipline every
-/// accumulation — engine-private CoreRanking and the race-shared
-/// SharedRankSource alike — builds on, so the two can never diverge.
-std::unordered_set<model::NodeId> core_nodes(
-    const std::vector<VarOrigin>& origin,
-    const std::vector<sat::Var>& core_vars);
-
 class CoreRanking {
  public:
   explicit CoreRanking(CoreWeighting weighting = CoreWeighting::Linear)
       : weighting_(weighting) {}
-
-  /// Rebuilds a ranking from externally accumulated state — snapshot
-  /// support for the shared rank source (rank_source.hpp), whose merged
-  /// node-axis scores live behind a mutex rather than in a CoreRanking.
-  CoreRanking(CoreWeighting weighting,
-              std::unordered_map<model::NodeId, double> scores,
-              std::size_t num_updates)
-      : weighting_(weighting),
-        scores_(std::move(scores)),
-        num_updates_(num_updates) {}
 
   /// Records the unsat core of instance `k` (depth of the BMC problem):
   /// `core_vars` are CNF variables whose model nodes are read off

@@ -22,15 +22,14 @@ class ScratchSession final : public FormulaSession {
     origin_.clear();
     ClauseTape::Cursor cursor;
     SolverSink sink(*solver_, origin_);
-    tape_.replay_to(k, cursor, sink);
+    Prepared p;
+    p.depth = tape_.replay_to(k, cursor, sink);
     // Round-trip guard: a fresh replay must land the exact clause count
     // the tape reports — remapper drift between sessions would break the
-    // shard group's "one formula, many solvers" premise silently.
-    REFBMC_ASSERT(solver_->num_original_clauses() ==
-                  tape_.simplified_clauses_at(k));
+    // race's "one formula, many solvers" premise silently.
+    REFBMC_ASSERT(solver_->num_original_clauses() == p.depth.clauses);
 
-    const sat::Lit prop = cursor.translate(tape_.property(k));
-    Prepared p;
+    const sat::Lit prop = cursor.translate(p.depth.property);
     p.solver = solver_.get();
     p.property_lit = prop;
     if (endpoint_ != nullptr) {
@@ -89,7 +88,9 @@ class IncrementalSession final : public FormulaSession {
     if (pending_retire_.size() >= kRetireBatch) flush_retirements();
 
     SolverSink sink(*solver_, origin_);
-    tape_.replay_to(k, cursor_, sink);
+    Prepared p;
+    p.depth = tape_.replay_to(k, cursor_, sink);
+    const sat::Lit prop = cursor_.translate(p.depth.property);
     prepared_depth_ = k;
     // Activation guards are solver-local (absent from the map), so the
     // endpoint's export filter refuses any learnt that mentions one —
@@ -107,11 +108,10 @@ class IncrementalSession final : public FormulaSession {
       // bit-identical to a plain incremental session.
       if (savepoint_) solver_->register_frame_guard(guard.var());
       // Guarded property: assuming `guard` asserts the violation at k.
-      solver_->add_clause({~guard, cursor_.translate(tape_.property(k))});
+      solver_->add_clause({~guard, prop});
       activation_[static_cast<std::size_t>(k)] = guard;
     }
 
-    Prepared p;
     p.solver = solver_.get();
     if (savepoint_) {
       // Stable, growing assumption prefix: every retired depth's guard
@@ -125,7 +125,7 @@ class IncrementalSession final : public FormulaSession {
     } else {
       p.assumptions = {guard};
     }
-    p.property_lit = cursor_.translate(tape_.property(k));
+    p.property_lit = prop;
     p.cnf_vars = origin_.size();
     p.cnf_clauses = solver_->num_original_clauses();
     return p;

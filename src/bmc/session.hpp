@@ -42,15 +42,17 @@ namespace refbmc::bmc {
 class FormulaSession {
  public:
   /// One prepared depth: the solver to query, the assumptions to pass,
-  /// and the solver-space property literal (the ¬P(V^k) handle — seed of
+  /// the solver-space property literal (the ¬P(V^k) handle — seed of
   /// the Shtrichman ordering, unit-asserted by scratch, guarded by
-  /// incremental).
+  /// incremental), and what the tape reported for depth k along with
+  /// the replay (its encoder and preprocessing counters).
   struct Prepared {
     sat::Solver* solver = nullptr;
     std::vector<sat::Lit> assumptions;
     sat::Lit property_lit;
     std::size_t cnf_vars = 0;
     std::size_t cnf_clauses = 0;
+    SharedTape::DepthInfo depth;
   };
 
   virtual ~FormulaSession() = default;

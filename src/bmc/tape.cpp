@@ -120,9 +120,26 @@ void SharedTape::ensure_depth(int k) {
   ensure_locked(k);
 }
 
-void SharedTape::replay_to(int k, ClauseTape::Cursor& cursor,
-                           ClauseSink& out) {
+SharedTape::DepthInfo SharedTape::depth_info_locked(int k) const {
+  const auto idx = static_cast<std::size_t>(k);
+  DepthInfo info;
+  info.property = encoder_.property(k);
+  info.encode = depth_stats_[idx];
+  if (k > 0) info.prev_simplify_ns = depth_stats_[idx - 1].simplify_ns;
+  if (!preprocess_.enabled) {
+    info.clauses = depth_marks_[idx].clauses;
+    return info;
+  }
+  info.preprocess = inc_deltas_[idx].stats;
+  for (std::size_t f = 0; f <= idx; ++f)
+    info.clauses += inc_deltas_[f].stats.clauses_out;
+  return info;
+}
+
+SharedTape::DepthInfo SharedTape::replay_to(int k, ClauseTape::Cursor& cursor,
+                                            ClauseSink& out) {
   std::vector<const IncDelta*> deltas;
+  DepthInfo info;
   {
     const std::lock_guard<std::mutex> lock(mu_);
     ensure_locked(k);
@@ -130,7 +147,7 @@ void SharedTape::replay_to(int k, ClauseTape::Cursor& cursor,
       // The raw tape's vectors grow while frames are encoded: replay it
       // under the lock.
       tape_.replay(cursor, depth_marks_[static_cast<std::size_t>(k)], out);
-      return;
+      return depth_info_locked(k);
     }
     // Each delta parks the cursor on its depth's mark, so the next delta
     // is that of the first depth whose mark lies beyond the cursor (a
@@ -143,11 +160,13 @@ void SharedTape::replay_to(int k, ClauseTape::Cursor& cursor,
     for (auto f = static_cast<std::size_t>(next - depth_marks_.begin());
          f <= static_cast<std::size_t>(k); ++f)
       deltas.push_back(&inc_deltas_[f]);
+    info = depth_info_locked(k);
   }
   // Published deltas are immutable and never move: translate and add
   // their clauses without the lock.
   std::vector<sat::Lit> clause;
   for (const IncDelta* d : deltas) replay_delta(*d, cursor, out, clause);
+  return info;
 }
 
 // Frozen set: everything whose tape variable must survive to the
@@ -319,13 +338,8 @@ VarRemapper SharedTape::remapper_at(int k) {
 std::size_t SharedTape::simplified_clauses_at(int k) {
   const std::lock_guard<std::mutex> lock(mu_);
   ensure_locked(k);
-  if (!preprocess_.enabled)
-    return depth_marks_[static_cast<std::size_t>(k)].clauses;
-  ensure_inc_delta_locked(k);
-  std::size_t n = 0;
-  for (int f = 0; f <= k; ++f)
-    n += inc_deltas_[static_cast<std::size_t>(f)].stats.clauses_out;
-  return n;
+  if (preprocess_.enabled) ensure_inc_delta_locked(k);
+  return depth_info_locked(k).clauses;
 }
 
 sat::Lit SharedTape::property(int k) {

@@ -159,6 +159,22 @@ class SharedTape {
   /// frames_encoded() counter advances at most once per depth, ever.
   void ensure_depth(int k);
 
+  /// What a consumer reads of depth k besides its clauses.  All of it is
+  /// fixed once depth k is ready, so replay_to hands it back from the
+  /// lock it already holds instead of every caller locking again (in a
+  /// race, a second lock queues behind a rival's delta pass).
+  struct DepthInfo {
+    sat::Lit property;  // tape space; translate through the replay cursor
+    /// The clause count a fresh consumer holds after replaying to k
+    /// (simplified_clauses_at(k)).
+    std::size_t clauses = 0;
+    EncodeStats encode;                  // stats_at(k)
+    std::uint64_t prev_simplify_ns = 0;  // stats_at(k-1).simplify_ns; 0 at k=0
+    /// Depth k's delta pass (preprocess_stats_at(k)); zero with
+    /// preprocessing off.
+    PreprocessStats preprocess;
+  };
+
   /// Moves `cursor` from the depth it is parked at (a fresh cursor is
   /// parked at no depth) up to depth k, ensuring k first, and replays
   /// into `out` what lies between: the raw tape with preprocessing off,
@@ -167,10 +183,13 @@ class SharedTape {
   /// it takes depth k in one step (a fresh scratch solver) or a depth at
   /// a time (an incremental solver).  Thread-safe.  With preprocessing
   /// on, the lock is held once, to run any missing delta passes and
-  /// collect the deltas; `out` is fed after it is released, so `out` may
-  /// be slow without stalling other consumers.  With preprocessing off
-  /// the raw tape is replayed under the lock.
-  void replay_to(int k, ClauseTape::Cursor& cursor, ClauseSink& out);
+  /// collect the deltas and depth k's DepthInfo; `out` is fed after it
+  /// is released, so `out` may be slow without stalling other consumers.
+  /// With preprocessing off the raw tape is replayed under the lock.
+  DepthInfo replay_to(int k, ClauseTape::Cursor& cursor, ClauseSink& out);
+
+  // The per-depth accessors below each take the lock; a consumer that
+  // replays reads the same values from replay_to's DepthInfo instead.
 
   /// Preprocessing counters of depth k's delta pass (runs the cached
   /// passes up to k first).
@@ -184,7 +203,7 @@ class SharedTape {
   VarRemapper remapper_at(int k);
   /// The clause count a fresh consumer holds after replay_to(k): the
   /// tape's own count with preprocessing off, else the sum of the delta
-  /// counts for 0..k (the scratch session asserts the round trip).
+  /// counts for 0..k.
   std::size_t simplified_clauses_at(int k);
 
   // Tape-space literals (ensure_depth is implied); translate through a
@@ -198,8 +217,8 @@ class SharedTape {
   ClauseTape::Mark mark_at(int k);
 
   std::uint64_t frames_encoded() const;
-  /// Cumulative encoder counters after frame k (simplification savings
-  /// for DepthStats).
+  /// Cumulative encoder counters after frame k (the simplification
+  /// savings DepthStats reports).
   EncodeStats stats_at(int k);
   EncodeStats stats() const;
 
@@ -243,6 +262,9 @@ class SharedTape {
   };
 
   void ensure_locked(int k);
+  /// Depth k's DepthInfo; depth k (and, with preprocessing on, its
+  /// delta) must be ready.
+  DepthInfo depth_info_locked(int k) const;
   /// Runs the delta passes of every depth up to f that lacks one.
   void ensure_inc_delta_locked(int f);
   /// Depth f's delta pass (f = inc_deltas_.size(): passes run strictly

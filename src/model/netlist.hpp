@@ -174,10 +174,7 @@ class Netlist {
 /// outputs and bad-property signals.  Names are excluded — two netlists
 /// that differ only in labels describe the same transition system and
 /// hash equal.  This is the identity the serving layer keys on: the
-/// result cache's (netlist, bad, depth, config) lookup and the
-/// rank-warm-start store both use it, and node ids of equal-hash
-/// netlists line up (construction is deterministic), so persisted
-/// node-axis rank scores project onto a re-submitted model unchanged.
+/// result cache's (netlist, bad, depth, config) lookup uses it.
 std::uint64_t structural_hash(const Netlist& net);
 
 }  // namespace refbmc::model

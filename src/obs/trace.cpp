@@ -19,7 +19,6 @@ const char* to_string(EventKind kind) {
     case EventKind::ReduceDb: return "reduce_db";
     case EventKind::ImportBatch: return "import_batch";
     case EventKind::ExportBatch: return "export_batch";
-    case EventKind::RankRefresh: return "rank_refresh";
     case EventKind::DynamicFallback: return "dynamic_fallback";
     case EventKind::JobSubmit: return "job_submit";
     case EventKind::JobStart: return "job_start";
@@ -28,7 +27,6 @@ const char* to_string(EventKind kind) {
     case EventKind::JobStop: return "job_stop";
     case EventKind::PoolPublish: return "pool_publish";
     case EventKind::PoolClose: return "pool_close";
-    case EventKind::RankPublish: return "rank_publish";
     case EventKind::SpanPreprocess: return "preprocess";
   }
   return "?";
@@ -47,7 +45,6 @@ const char* category(EventKind kind) {
     case EventKind::ReduceDb:
     case EventKind::ImportBatch:
     case EventKind::ExportBatch:
-    case EventKind::RankRefresh:
     case EventKind::DynamicFallback:
       return "sat";
     case EventKind::JobSubmit:
@@ -57,7 +54,6 @@ const char* category(EventKind kind) {
     case EventKind::JobStop:
     case EventKind::PoolPublish:
     case EventKind::PoolClose:
-    case EventKind::RankPublish:
       return "race";
   }
   return "?";
@@ -71,7 +67,6 @@ bool is_span(EventKind kind) {
     case EventKind::SpanSolve:
     case EventKind::TapeEncode:
     case EventKind::ImportBatch:
-    case EventKind::RankRefresh:
     case EventKind::SpanPreprocess:
       return true;
     default:

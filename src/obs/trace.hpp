@@ -3,7 +3,7 @@
 // Why a bespoke layer: the portfolio runs N solvers concurrently, and the
 // questions we need answered — where does depth k's time go under each
 // ordering policy, how late do losers actually stop after the verdict,
-// when do rank refreshes land relative to restarts — are *timeline*
+// when do clause imports land relative to restarts — are *timeline*
 // questions.  End-of-run counters (DepthStats, RaceResult) cannot answer
 // them; a trace can, and Perfetto / chrome://tracing already draw
 // timelines, so we only need to record and export (obs/export.hpp).
@@ -63,7 +63,6 @@ enum class EventKind : std::uint16_t {
   ReduceDb,        // value = learned clauses before reduction
   ImportBatch,     // span: one level-0 import drain       value = clauses attached
   ExportBatch,     // value = clauses exported since the previous boundary
-  RankRefresh,     // span: mid-solve rank projection      value = source epoch
   DynamicFallback, // dynamic policy switched to VSIDS     value = decisions
   // portfolio: job lifecycle and exchange.
   JobSubmit,       // value = entrant/job index
@@ -73,8 +72,6 @@ enum class EventKind : std::uint16_t {
   JobStop,         // entrant thread wound down            value = entrant index
   PoolPublish,     // lemma accepted by the shared pool    value = sequence no.
   PoolClose,       // pool epoch closed (race decided)
-  RankPublish,     // core merged into SharedRankSource    depth = from depth,
-                   //                                      value = new epoch
   // preprocessing: the per-depth tape pass.
   SpanPreprocess,  // tape CNF simplification for one depth value = clauses out
 };

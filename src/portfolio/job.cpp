@@ -24,33 +24,4 @@ JobResult run_job(const Job& job, const std::atomic<bool>* stop) {
   return out;
 }
 
-std::vector<Job> shard_properties(const model::Netlist& net,
-                                  const bmc::EngineConfig& base,
-                                  const std::string& name_prefix) {
-  std::vector<Job> jobs;
-  const auto& bads = net.bad_properties();
-  for (std::size_t i = 0; i < bads.size(); ++i) {
-    Job job;
-    job.net = &net;
-    job.bad_index = i;
-    job.name = name_prefix + "/" +
-               (bads[i].name.empty() ? std::to_string(i) : bads[i].name);
-    job.config = base;
-    jobs.push_back(std::move(job));
-  }
-  return jobs;
-}
-
-std::size_t BatchReport::count(bmc::BmcResult::Status s) const {
-  std::size_t n = 0;
-  for (const auto& r : results) n += (r.result.status == s) ? 1 : 0;
-  return n;
-}
-
-double BatchReport::total_job_time_sec() const {
-  double t = 0.0;
-  for (const auto& r : results) t += r.wall_time_sec;
-  return t;
-}
-
 }  // namespace refbmc::portfolio

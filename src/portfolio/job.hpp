@@ -1,23 +1,17 @@
 // Portfolio work units.
 //
 // A Job is one self-contained BMC problem: a (netlist, bad_index) pair
-// plus the engine configuration to check it with.  Jobs are the currency
-// of both scheduler modes:
+// plus the engine configuration to check it with.  A race expands one
+// instance into one job per ordering policy, runs them concurrently,
+// and the first definitive verdict wins (scheduler.hpp).
 //
-//   * race  — the same (netlist, bad_index) instance expanded into one
-//             job per ordering policy, run concurrently, first definitive
-//             verdict wins;
-//   * shard — a multi-property / multi-model batch expanded into one job
-//             per (netlist, bad_index), distributed over the worker pool.
-//
-// Jobs hold a *pointer* to the netlist: the caller owns the models and
-// must keep them alive until the scheduler returns.
+// Jobs hold a *pointer* to the netlist: the caller owns the model and
+// must keep it alive until the job returns.
 #pragma once
 
 #include <atomic>
 #include <cstddef>
 #include <string>
-#include <vector>
 
 #include "bmc/engine.hpp"
 #include "model/netlist.hpp"
@@ -34,12 +28,10 @@ struct Job {
 /// Outcome of one executed job.
 struct JobResult {
   std::string name;
-  std::size_t job_index = 0;  // position in the submitted batch
   std::size_t bad_index = 0;
   bmc::OrderingPolicy policy = bmc::OrderingPolicy::Baseline;
   bmc::BmcResult result;
   double wall_time_sec = 0.0;
-  int worker_id = -1;  // thread that executed the job (-1 = caller)
 };
 
 inline const char* to_string(bmc::BmcResult::Status s) {
@@ -53,53 +45,8 @@ inline const char* to_string(bmc::BmcResult::Status s) {
 
 /// Runs `job` to completion (or cancellation) on the calling thread.
 /// When `stop` is non-null it *replaces* the job's own
-/// EngineConfig::stop, so a scheduler-owned flag can cut every engine in
-/// a pool at once — to cancel a whole batch from outside, pass the flag
-/// to PortfolioScheduler::run_batch instead of into each job.
+/// EngineConfig::stop, so a race-owned flag can cut every entrant at
+/// once.
 JobResult run_job(const Job& job, const std::atomic<bool>* stop = nullptr);
-
-/// One job per bad property of `net` — the multi-property sharding unit.
-/// Job names are `<name_prefix>/<property name or index>`.
-std::vector<Job> shard_properties(const model::Netlist& net,
-                                  const bmc::EngineConfig& base,
-                                  const std::string& name_prefix = "net");
-
-/// Aggregate of a sharded batch.  `results` is indexed like the submitted
-/// job vector regardless of which worker ran what, so batch output is
-/// deterministic even though scheduling is not.
-struct BatchReport {
-  std::vector<JobResult> results;
-  double wall_time_sec = 0.0;
-  int num_workers = 0;
-  std::uint64_t steals = 0;  // jobs a worker took from another's queue
-  /// Lemma-sharing totals over the batch's shard-group pools — jobs on
-  /// the same (netlist, property, bad mode, simplify) formula exchange
-  /// clauses; zero when sharing is off or every group is a singleton.
-  /// clauses_imported counts pool deliveries (scratch solvers re-import
-  /// per depth), not solver attachments — see RaceResult for the same
-  /// distinction.
-  std::uint64_t clauses_exported = 0;
-  std::uint64_t clauses_imported = 0;
-  /// Ordering-exchange totals over the batch's shard-group rank sources
-  /// (zero when rank sharing is off or every group is a singleton):
-  /// cores published into the shared accumulations, and mid-solve rank
-  /// refreshes the member solvers applied.
-  std::uint64_t ranks_published = 0;
-  std::uint64_t rank_refreshes = 0;
-
-  std::size_t count(bmc::BmcResult::Status s) const;
-  std::size_t counterexamples() const {
-    return count(bmc::BmcResult::Status::CounterexampleFound);
-  }
-  std::size_t bounds_reached() const {
-    return count(bmc::BmcResult::Status::BoundReached);
-  }
-  std::size_t resource_limits() const {
-    return count(bmc::BmcResult::Status::ResourceLimit);
-  }
-  /// Sum of per-job wall times: the sequential-equivalent cost the pool
-  /// compressed into `wall_time_sec`.
-  double total_job_time_sec() const;
-};
 
 }  // namespace refbmc::portfolio

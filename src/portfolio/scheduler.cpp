@@ -4,13 +4,10 @@
 #include <array>
 #include <chrono>
 #include <exception>
-#include <map>
 #include <memory>
 #include <stdexcept>
 #include <thread>
-#include <tuple>
 
-#include "bmc/rank_source.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "util/assert.hpp"
@@ -22,21 +19,18 @@ namespace refbmc::portfolio {
 namespace {
 
 /// Joins `threads`, meanwhile relaying an external cancellation source
-/// and an optional deadline onto the pool-internal stop flag.  With
-/// nothing to relay this is a plain join (no latency quantization); the
-/// relay granularity otherwise (1ms) is far below any engine's depth
-/// time.
+/// onto the race-internal stop flag.  With nothing to relay this is a
+/// plain join (no latency quantization); the relay granularity otherwise
+/// (1ms) is far below any engine's depth time.
 void join_with_relay(std::vector<std::thread>& threads,
                      std::atomic<std::size_t>& done, std::size_t expected,
                      const std::atomic<bool>* external_stop,
-                     const Deadline* deadline, std::atomic<bool>& stop) {
-  if (external_stop != nullptr || deadline != nullptr) {
+                     std::atomic<bool>& stop) {
+  if (external_stop != nullptr) {
     while (done.load(std::memory_order_acquire) < expected) {
-      if ((external_stop != nullptr &&
-           external_stop->load(std::memory_order_relaxed)) ||
-          (deadline != nullptr && deadline->expired())) {
+      if (external_stop->load(std::memory_order_relaxed)) {
         stop.store(true, std::memory_order_relaxed);
-        break;  // flag relayed; the workers wind down on their own
+        break;  // flag relayed; the entrants wind down on their own
       }
       std::this_thread::sleep_for(std::chrono::milliseconds(1));
     }
@@ -47,23 +41,6 @@ void join_with_relay(std::vector<std::thread>& threads,
 void rethrow_first(const std::vector<std::exception_ptr>& errors) {
   for (const auto& e : errors)
     if (e) std::rethrow_exception(e);
-}
-
-/// Policies that actually read the rank feed (and publish cores into
-/// it).  Baseline / Evsids ignore it entirely; Shtrichman ranks a fixed
-/// instance from scratch each depth and never consumes the accumulation.
-bool consumes_rank(bmc::OrderingPolicy p) {
-  return p == bmc::OrderingPolicy::Static ||
-         p == bmc::OrderingPolicy::Dynamic ||
-         p == bmc::OrderingPolicy::Replace;
-}
-
-/// A shared rank source pays off only when two+ consumers can overlap;
-/// see SharingConfig::rank.  `rank_force` bypasses the check for tests.
-bool shared_rank_pays_off(const SharingConfig& sharing,
-                          std::size_t consumers) {
-  if (sharing.rank_force) return true;
-  return std::thread::hardware_concurrency() > 1 && consumers >= 2;
 }
 
 }  // namespace
@@ -84,22 +61,15 @@ std::vector<bmc::OrderingPolicy> default_race_policies() {
           bmc::OrderingPolicy::Evsids};
 }
 
-PortfolioScheduler::PortfolioScheduler(int num_threads,
-                                       std::uint64_t base_seed,
-                                       SharingConfig sharing)
-    : num_threads_(num_threads), base_seed_(base_seed), sharing_(sharing) {
-  REFBMC_EXPECTS_MSG(num_threads >= 1, "scheduler needs at least one thread");
-  REFBMC_EXPECTS_MSG(!sharing_.enabled ||
-                         (sharing_.lbd_max >= 0 && sharing_.size_max >= 0 &&
-                          sharing_.capacity >= 1),
-                     "invalid sharing configuration");
-}
-
-RaceResult PortfolioScheduler::race(
-    const model::Netlist& net, std::size_t bad_index,
-    const bmc::EngineConfig& base,
-    const std::vector<bmc::OrderingPolicy>& policies) const {
+RaceResult race(const model::Netlist& net, std::size_t bad_index,
+                const bmc::EngineConfig& base,
+                const std::vector<bmc::OrderingPolicy>& policies,
+                const SharingConfig& sharing) {
   REFBMC_EXPECTS_MSG(!policies.empty(), "race needs at least one policy");
+  REFBMC_EXPECTS_MSG(!sharing.enabled ||
+                         (sharing.lbd_max >= 0 && sharing.size_max >= 0 &&
+                          sharing.capacity >= 1),
+                     "invalid sharing configuration");
 
   RaceResult out;
   out.entrants.resize(policies.size());
@@ -125,30 +95,10 @@ RaceResult PortfolioScheduler::race(
   // pool's tape-space clauses are meaningful to all of them.  A
   // single-entrant race has nobody to share with.
   std::unique_ptr<SharedClausePool> pool;
-  if (sharing_.enabled && policies.size() > 1) {
+  if (sharing.enabled && policies.size() > 1) {
     pool = std::make_unique<SharedClausePool>(
-        static_cast<std::size_t>(sharing_.capacity));
+        static_cast<std::size_t>(sharing.capacity));
     pool->set_mem_tracker(mem);
-  }
-
-  // And one rank source per race: cores live in model-node space, so the
-  // merged accumulation is meaningful to every entrant regardless of its
-  // solver's variable numbering (each projects through its own origin
-  // map).  Entrants whose policy ignores the rank feed simply never
-  // publish or refresh.  A caller-supplied base.rank_source takes
-  // precedence over creating our own — that is how the serving layer
-  // warm-starts a race from a persisted accumulation (and reads the
-  // merged snapshot back out afterwards).
-  std::unique_ptr<bmc::SharedRankSource> owned_rank_source;
-  bmc::RankSource* rank_source = base.rank_source;
-  if (rank_source == nullptr && sharing_.rank && policies.size() > 1) {
-    const std::size_t consumers = static_cast<std::size_t>(
-        std::count_if(policies.begin(), policies.end(), consumes_rank));
-    if (shared_rank_pays_off(sharing_, consumers)) {
-      owned_rank_source =
-          std::make_unique<bmc::SharedRankSource>(base.weighting);
-      rank_source = owned_rank_source.get();
-    }
   }
 
   std::atomic<bool> stop{false};
@@ -187,10 +137,9 @@ RaceResult PortfolioScheduler::race(
         if (pool != nullptr) {
           job.config.share_pool = pool.get();
           job.config.share_producer = static_cast<int>(i);
-          job.config.solver.share_lbd = sharing_.lbd_max;
-          job.config.solver.share_size = sharing_.size_max;
+          job.config.solver.share_lbd = sharing.lbd_max;
+          job.config.solver.share_size = sharing.size_max;
         }
-        if (rank_source != nullptr) job.config.rank_source = rank_source;
         job.config.mem_tracker = mem;
         // The Shtrichman ordering has no incremental mode; demote that
         // entrant to scratch solving rather than disqualifying it
@@ -200,8 +149,6 @@ RaceResult PortfolioScheduler::race(
           job.config.incremental = false;
 
         JobResult r = run_job(job, &stop);
-        r.job_index = i;
-        r.worker_id = static_cast<int>(i);
         if (r.result.status != bmc::BmcResult::Status::ResourceLimit) {
           int expected = -1;
           if (winner.compare_exchange_strong(expected, static_cast<int>(i))) {
@@ -234,8 +181,7 @@ RaceResult PortfolioScheduler::race(
     });
   }
 
-  join_with_relay(threads, done, policies.size(), base.stop,
-                  /*deadline=*/nullptr, stop);
+  join_with_relay(threads, done, policies.size(), base.stop, stop);
   rethrow_first(errors);
 
   out.winner = winner.load();
@@ -261,164 +207,15 @@ RaceResult PortfolioScheduler::race(
     out.clauses_exported = pool->published();
     out.clauses_imported = pool->delivered();
   }
-  if (rank_source != nullptr) {
-    out.rank_sharing = true;
-    out.ranks_published = rank_source->num_updates();
-    out.rank_epoch = rank_source->epoch();
-    for (const auto& entrant : out.entrants)
-      for (const auto& d : entrant.result.per_depth)
-        out.rank_refreshes += d.rank_refreshes;
-  }
   out.peak_mem_bytes = mem->peak();
   for (const auto& entrant : out.entrants)
     if (entrant.result.mem_limit_hit) out.mem_limit_hit = true;
   return out;
 }
 
-BatchReport PortfolioScheduler::run_batch(
-    const std::vector<Job>& jobs, double budget_sec,
-    const std::atomic<bool>* external_stop) const {
-  BatchReport report;
-  report.results.resize(jobs.size());
-  if (jobs.empty()) return report;
-
-  const int workers = static_cast<int>(
-      std::min<std::size_t>(static_cast<std::size_t>(num_threads_),
-                            jobs.size()));
-  report.num_workers = workers;
-
-  // Shard-group exchange: jobs on the same formula — identical (netlist,
-  // property, bad mode, simplify), hence identical tape variable spaces
-  // — get one clause pool per group.  Rank sources sub-group further by
-  // core weighting (merged scores must mean the same thing to every
-  // publisher; clause soundness never depended on it, so the pool group
-  // stays whole).  Each engine encodes its own tape, but the encoder is
-  // deterministic, so the spaces line up.  Requires rewriting the job
-  // configs, so the workers run on a copy.
-  std::vector<Job> shared_jobs;
-  std::vector<std::unique_ptr<SharedClausePool>> pools;
-  std::vector<std::unique_ptr<bmc::SharedRankSource>> rank_sources;
-  const std::vector<Job>* run_jobs = &jobs;
-  if ((sharing_.enabled || sharing_.rank) && jobs.size() > 1) {
-    // The formula fingerprint joins the key: the pool's clauses live in
-    // tape space, which preprocessing never renumbers, but members of a
-    // group must agree on *which* variables got eliminated or their
-    // endpoints would silently drop each other's best lemmas.  The
-    // fingerprint covers bad mode, frame-wise simplify and the whole
-    // preprocess recipe — the same function the service's result cache
-    // keys on, so the two notions of "same formula" cannot drift apart.
-    using GroupKey = std::tuple<const model::Netlist*, std::size_t,
-                                std::uint64_t>;
-    std::map<GroupKey, std::vector<std::size_t>> groups;
-    for (std::size_t i = 0; i < jobs.size(); ++i) {
-      const Job& j = jobs[i];
-      groups[GroupKey{j.net, j.bad_index, bmc::formula_fingerprint(j.config)}]
-          .push_back(i);
-    }
-    for (const auto& [key, members] : groups) {
-      if (members.size() < 2) continue;  // nobody to share with
-      if (shared_jobs.empty()) shared_jobs = jobs;
-      if (sharing_.enabled) {
-        pools.push_back(std::make_unique<SharedClausePool>(
-            static_cast<std::size_t>(sharing_.capacity)));
-        for (std::size_t p = 0; p < members.size(); ++p) {
-          bmc::EngineConfig& cfg = shared_jobs[members[p]].config;
-          cfg.share_pool = pools.back().get();
-          cfg.share_producer = static_cast<int>(p);
-          cfg.solver.share_lbd = sharing_.lbd_max;
-          cfg.solver.share_size = sharing_.size_max;
-        }
-      }
-      if (sharing_.rank) {
-        std::map<int, std::vector<std::size_t>> by_weighting;
-        for (const std::size_t m : members)
-          by_weighting[static_cast<int>(shared_jobs[m].config.weighting)]
-              .push_back(m);
-        for (const auto& [w, twins] : by_weighting) {
-          if (twins.size() < 2) continue;
-          // Same pays-off demotion as race(): a twin group without two
-          // rank-consuming policies leaves everyone on their private
-          // LocalRankSource (no exchange to be had).
-          std::size_t consumers = 0;
-          for (const std::size_t m : twins)
-            if (consumes_rank(shared_jobs[m].config.policy)) ++consumers;
-          if (!shared_rank_pays_off(sharing_, consumers)) continue;
-          rank_sources.push_back(std::make_unique<bmc::SharedRankSource>(
-              shared_jobs[twins.front()].config.weighting));
-          for (const std::size_t m : twins)
-            shared_jobs[m].config.rank_source = rank_sources.back().get();
-        }
-      }
-    }
-    if (!shared_jobs.empty()) run_jobs = &shared_jobs;
-  }
-
-  // Round-robin seeding spreads the batch evenly; stealing rebalances
-  // whatever the initial split gets wrong.
-  std::vector<WorkStealingQueue> queues(static_cast<std::size_t>(workers));
-  for (std::size_t i = 0; i < jobs.size(); ++i)
-    queues[i % static_cast<std::size_t>(workers)].push(i);
-
-  std::atomic<bool> stop{false};
-  std::atomic<std::uint64_t> steals{0};
-  std::atomic<std::size_t> done{0};
-  std::vector<std::exception_ptr> errors(static_cast<std::size_t>(workers));
-  const Deadline deadline(budget_sec);
-  Timer timer;
-
-  std::vector<std::thread> threads;
-  threads.reserve(static_cast<std::size_t>(workers));
-  for (int w = 0; w < workers; ++w) {
-    threads.emplace_back([&, w] {
-      std::string tag = "w";
-      tag += std::to_string(w);
-      obs::trace_set_thread_track(tag);
-      set_log_thread_tag(tag);
-      try {
-        WorkerContext ctx;
-        ctx.id = w;
-        ctx.rng_seed = base_seed_ + static_cast<std::uint64_t>(w);
-        ctx.jobs = run_jobs;
-        ctx.results = &report.results;
-        ctx.queues = &queues;
-        ctx.stop = &stop;
-        ctx.steals = &steals;
-        worker_main(ctx);
-      } catch (...) {
-        errors[static_cast<std::size_t>(w)] = std::current_exception();
-        stop.store(true, std::memory_order_release);
-      }
-      done.fetch_add(1, std::memory_order_release);
-    });
-  }
-
-  join_with_relay(threads, done, static_cast<std::size_t>(workers),
-                  external_stop, budget_sec > 0.0 ? &deadline : nullptr,
-                  stop);
-  rethrow_first(errors);
-
-  for (std::size_t i = 0; i < report.results.size(); ++i)
-    report.results[i].job_index = i;
-  report.steals = steals.load();
-  report.wall_time_sec = timer.elapsed_sec();
-  for (const auto& pool : pools) {
-    report.clauses_exported += pool->published();
-    report.clauses_imported += pool->delivered();
-  }
-  for (const auto& ranks : rank_sources)
-    report.ranks_published += ranks->num_updates();
-  if (!rank_sources.empty())
-    for (const auto& r : report.results)
-      for (const auto& d : r.result.per_depth)
-        report.rank_refreshes += d.rank_refreshes;
-  return report;
-}
-
 ResolvedPortfolio resolve(const PortfolioConfig& cfg) {
   cfg.validate();
   ResolvedPortfolio r;
-  r.num_threads = cfg.num_threads;
-  r.seed = cfg.seed;
   // Identical entrants run identical, deterministic searches, so a
   // repeat is pure waste — and rejecting it bounds a race at one thread
   // per policy, however long the submitted lineup.
@@ -457,7 +254,6 @@ ResolvedPortfolio resolve(const PortfolioConfig& cfg) {
   r.sharing.lbd_max = cfg.share_lbd;
   r.sharing.size_max = cfg.share_size;
   r.sharing.capacity = cfg.share_cap;
-  r.sharing.rank = cfg.share_rank;
   return r;
 }
 

@@ -1,40 +1,30 @@
-// Parallel portfolio scheduler — the seam between one-solver BMC and a
-// production service.  Two modes:
+// Parallel portfolio race — the seam between one-solver BMC and a
+// production service.
 //
-//   * race(net, bad, base, policies): the paper shows the refined
-//     ordering wins on *most* instances, not all (Table 1 has losing
-//     rows).  Racing the ordering policies on the same instance turns
-//     "usually faster" into "as fast as the best, always": each policy
-//     runs on its own thread against a shared cancellation flag, and the
-//     first definitive verdict (counter-example or bound reached) wins
-//     and cancels the rest.  Verdicts are objective, so whichever policy
-//     wins, the answer equals every single-policy run.
+// race(net, bad, base, policies): the paper shows the refined ordering
+// wins on *most* instances, not all (Table 1 has losing rows).  Racing
+// the ordering policies on the same instance turns "usually faster"
+// into "as fast as the best, always": each policy runs on its own thread
+// against a shared cancellation flag, and the first definitive verdict
+// (counter-example or bound reached) wins and cancels the rest.
+// Verdicts are objective, so whichever policy wins, the answer equals
+// every single-policy run.
 //
-//   * run_batch(jobs): shards a multi-property / multi-model workload —
-//     one Job per (netlist, bad_index) — across a work-stealing pool and
-//     aggregates the per-job BmcResults into a BatchReport.
-//
-// Both modes rely on the cooperative stop flag threaded through
+// Cancellation rides the cooperative stop flag threaded through
 // sat::Solver (conflict/restart/decision boundaries) and bmc::BmcEngine
-// (per-depth), so cancellation latency is bounded by one BCP pass.
+// (per-depth), so its latency is bounded by one BCP pass.
 //
 // Races are encode-once: the instance is encoded into one SharedTape and
 // every entrant's solver is fed by replaying it, so race startup does one
 // frame encoding per depth instead of one per (depth, policy).
 //
-// Races (and shard groups solving the same formula) also share lemmas:
-// every entrant publishes its short / low-LBD learnts into one
-// SharedClausePool and imports the others' at restart boundaries, so the
-// diversity the race creates compounds instead of being re-derived P
-// times (see clause_pool.hpp; SharingConfig below tunes the filter).
-//
-// And they share the refined ORDERING the same way: the paper's whole
-// point is that earlier cores sharpen later decision orderings, so the
-// scheduler gives each race / shard group one SharedRankSource
-// (model-node-space score map, see bmc/rank_source.hpp) — every entrant
-// publishes the cores it proves and refreshes its rank feed mid-solve
-// when rivals advance the accumulation, instead of re-learning the
-// ordering from scratch P times.
+// Races also share lemmas: every entrant publishes its short / low-LBD
+// learnts into one SharedClausePool and imports the others' at restart
+// boundaries, so the diversity the race creates compounds instead of
+// being re-derived P times (see clause_pool.hpp; SharingConfig below
+// tunes the filter).  Decision orderings are not exchanged: each
+// core-ranking entrant refines its own order from its own unsat cores,
+// which is the paper's loop (§3.2–3.3).
 #pragma once
 
 #include <string>
@@ -42,16 +32,13 @@
 
 #include "portfolio/clause_pool.hpp"
 #include "portfolio/job.hpp"
-#include "portfolio/worker.hpp"
 #include "util/options.hpp"
 
 namespace refbmc::portfolio {
 
-/// Exchange knobs (the CLI's --share* family): lemma sharing and
-/// ordering sharing, independently switchable.  With `enabled` false no
-/// clause pool is created; with `rank` false every engine keeps its
-/// private CoreRanking; with both off every run is bit-identical to the
-/// exchange-free scheduler.
+/// Lemma-exchange knobs (the CLI's --share* family).  With `enabled`
+/// false no clause pool is created and every run is bit-identical to an
+/// exchange-free race.
 struct SharingConfig {
   bool enabled = true;
   /// Export filter: a learnt is published when lbd <= lbd_max OR size <=
@@ -60,22 +47,6 @@ struct SharingConfig {
   int size_max = 2;
   /// Ring capacity of each pool, in clauses (--share-cap).
   int capacity = 4096;
-  /// Ordering exchange (--share-rank): entrants of a race (and shard
-  /// twins on the same formula) publish unsat cores into one
-  /// SharedRankSource and refresh their solvers' rank feed mid-solve.
-  ///
-  /// Even when on, the scheduler only materialises a shared source when
-  /// it can pay off: at least two entrants whose policy actually
-  /// consumes the rank feed (Static / Dynamic / Replace), on a machine
-  /// with more than one hardware thread.  A lineup like {Static, Evsids}
-  /// has nobody to exchange WITH — the lone consumer falls back to its
-  /// engine-private LocalRankSource, which accumulates the same scores
-  /// without the shared source's mutex/epoch machinery on the solve path.
-  bool rank = true;
-  /// Test hook: create the shared source whenever `rank` is on,
-  /// bypassing the pays-off demotion above (single-core CI runners would
-  /// otherwise never exercise the exchange).
-  bool rank_force = false;
 };
 
 /// Outcome of one race.  `entrants` line up with the policy list passed
@@ -98,15 +69,6 @@ struct RaceResult {
   bool sharing = false;
   std::uint64_t clauses_exported = 0;
   std::uint64_t clauses_imported = 0;
-  /// Ordering-exchange counters (zero when rank sharing was off): cores
-  /// published into the race's SharedRankSource across all entrants, the
-  /// mid-solve rank refreshes their solvers applied, and the source's
-  /// final accumulation epoch (distinct score states reached — a merge
-  /// that changed nothing does not advance it).
-  bool rank_sharing = false;
-  std::uint64_t ranks_published = 0;
-  std::uint64_t rank_refreshes = 0;
-  std::uint64_t rank_epoch = 0;
   /// Cancellation latency in microseconds: from the winner's verdict
   /// (its winner-CAS success) to the LAST losing entrant actually
   /// stopping.  The observable cost of "cancel the rest" — bounded by
@@ -133,50 +95,17 @@ struct RaceResult {
 /// alternative and is left out, matching the paper's evaluation).
 std::vector<bmc::OrderingPolicy> default_race_policies();
 
-class PortfolioScheduler {
- public:
-  /// `num_threads` sizes the sharding pool; races use one thread per
-  /// entrant policy.  `base_seed` fixes the per-worker RNG seeds
-  /// (worker w gets base_seed + w), keeping victim selection
-  /// reproducible — and with it, when sharing is off, the whole batch.
-  /// `sharing` tunes lemma and ordering exchange (both default on;
-  /// exchange timing is scheduling-dependent, so per-job solver stats
-  /// then vary run to run while verdicts stay objective.  SharingConfig
-  /// with `enabled` and `rank` both false restores the
-  /// independent-solver scheduler bit for bit).
-  explicit PortfolioScheduler(int num_threads, std::uint64_t base_seed = 1,
-                              SharingConfig sharing = {});
-
-  int num_threads() const { return num_threads_; }
-  const SharingConfig& sharing() const { return sharing_; }
-
-  /// Races `policies` on property `bad_index` of `net`.  `base` supplies
-  /// everything but the policy (depth, limits, incremental mode...); its
-  /// `stop` hook, when set, cancels the whole race from outside.  When
-  /// `base.rank_source` is non-null the race exchanges orderings through
-  /// THAT source instead of creating its own — the serving layer's
-  /// warm-start seam (seed it, race, snapshot it back).
-  RaceResult race(const model::Netlist& net, std::size_t bad_index,
-                  const bmc::EngineConfig& base,
-                  const std::vector<bmc::OrderingPolicy>& policies =
-                      default_race_policies()) const;
-
-  /// Runs `jobs` across the pool with work stealing.  `budget_sec > 0`
-  /// bounds the batch wall-clock: on expiry in-flight engines are
-  /// cancelled and unstarted jobs are reported as ResourceLimit.
-  /// `external_stop`, when non-null, cancels the batch the same way from
-  /// outside (the pool overrides each job's own EngineConfig::stop, so
-  /// this is the one cancellation hook for a batch).
-  BatchReport run_batch(const std::vector<Job>& jobs,
-                        double budget_sec = -1.0,
-                        const std::atomic<bool>* external_stop =
-                            nullptr) const;
-
- private:
-  int num_threads_;
-  std::uint64_t base_seed_;
-  SharingConfig sharing_;
-};
+/// Races `policies` on property `bad_index` of `net`, one thread per
+/// entrant.  `base` supplies everything but the policy (depth, limits,
+/// incremental mode...); its `stop` hook, when set, cancels the whole
+/// race from outside.  `sharing` tunes the lemma exchange (on by
+/// default; exchange timing is scheduling-dependent, so per-entrant
+/// solver stats then vary run to run while verdicts stay objective).
+RaceResult race(const model::Netlist& net, std::size_t bad_index,
+                const bmc::EngineConfig& base,
+                const std::vector<bmc::OrderingPolicy>& policies =
+                    default_race_policies(),
+                const SharingConfig& sharing = {});
 
 /// PortfolioConfig (CLI layer) resolved against the bmc types: ranges
 /// checked (PortfolioConfig::validate), policy names parsed
@@ -186,9 +115,7 @@ class PortfolioScheduler {
 struct ResolvedPortfolio {
   std::vector<bmc::OrderingPolicy> policies;
   bmc::EngineConfig engine;  // max_depth / incremental / budget applied
-  int num_threads = 1;
-  std::uint64_t seed = 1;
-  SharingConfig sharing;  // --share* family incl. --share-rank
+  SharingConfig sharing;     // --share* family
 };
 ResolvedPortfolio resolve(const PortfolioConfig& cfg);
 

@@ -25,14 +25,6 @@ void DecisionQueue::add_var() {
   heap_.insert(v);
 }
 
-bool DecisionQueue::refresh_ranks(std::span<const double> rank_by_var) {
-  for (std::size_t v = 0; v < rank_by_var.size(); ++v)
-    set_rank(static_cast<Var>(v), rank_by_var[v]);
-  if (!rank_active()) return false;  // values kept; activity order stands
-  rebuild();
-  return true;
-}
-
 bool DecisionQueue::on_decision(std::uint64_t num_original_literals,
                                 int switch_divisor) {
   ++decisions_;

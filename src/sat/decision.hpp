@@ -33,7 +33,6 @@
 #pragma once
 
 #include <cstdint>
-#include <span>
 #include <vector>
 
 #include "sat/trail.hpp"
@@ -86,17 +85,6 @@ class DecisionQueue {
   }
   /// Rebuilds the heap after bulk priority changes (rank feed applied).
   void rebuild() { heap_.rebuild(); }
-
-  /// Bulk MID-SOLVE rank refresh (the portfolio's shared ordering): the
-  /// per-prepare feed is set_rank + rebuild before solve(); this is the
-  /// in-search variant the solver drives from its RankRefresh poll at
-  /// decision-level-0 boundaries.  New scores are always installed, but
-  /// the heap is re-keyed only when the rank currently participates in
-  /// the order — and the dynamic switch is never touched, so a queue
-  /// that already fell back to activity order stays fallen back (§3.3's
-  /// "this instance is hard" verdict outlives a refresh).  Returns
-  /// whether the heap order was rebuilt.
-  bool refresh_ranks(std::span<const double> rank_by_var);
 
   // ---- scoring hooks --------------------------------------------------
   /// One call per literal occurrence in the original formula.  Does not

@@ -467,15 +467,6 @@ bool Solver::import_shared_clauses() {
   return ok_;
 }
 
-void Solver::poll_rank_refresh() {
-  if (rank_refresh_ == nullptr || !rank_refresh_->has_update()) return;
-  REFBMC_ASSERT(trail_.decision_level() == 0);
-  const std::span<const double> ranks = rank_refresh_->refresh();
-  REFBMC_EXPECTS(ranks.size() <= static_cast<std::size_t>(num_vars()));
-  queue_.refresh_ranks(ranks);
-  ++stats_.rank_refreshes;
-}
-
 void Solver::register_frame_guard(Var v) {
   REFBMC_EXPECTS(v >= 0 && v < num_vars());
   if (guard_state_.size() < static_cast<std::size_t>(num_vars()))
@@ -594,8 +585,8 @@ Result Solver::solve(const std::vector<Lit>& assumptions) {
 
   if (config_.assumption_savepoint) {
     // Resume from the longest common prefix of the kept assumption
-    // levels.  Pending cross-thread work (clause import, rank refresh)
-    // needs the root, so it forces a miss.
+    // levels.  Pending clause imports need the root, so they force a
+    // miss.
     int lcp = 0;
     const int reusable = std::min(
         {savepoint_levels_, trail_.decision_level(),
@@ -604,9 +595,7 @@ Result Solver::solve(const std::vector<Lit>& assumptions) {
            assumptions_[static_cast<std::size_t>(lcp)] ==
                savepoint_assumptions_[static_cast<std::size_t>(lcp)])
       ++lcp;
-    if ((exchange_ != nullptr && exchange_->has_pending()) ||
-        (rank_refresh_ != nullptr && rank_refresh_->has_update()))
-      lcp = 0;
+    if (exchange_ != nullptr && exchange_->has_pending()) lcp = 0;
     backtrack(lcp);
     if (lcp > 0) {
       ++stats_.savepoint_hits;
@@ -619,15 +608,10 @@ Result Solver::solve(const std::vector<Lit>& assumptions) {
   // Foreign lemmas first: a solve() starting at decision level 0 is the
   // one place imported clauses can be attached and root-propagated
   // safely.  A savepoint resume skips the boundary (the LCP was forced
-  // to 0 above whenever either feed had pending work).
-  if (trail_.decision_level() == 0) {
-    if (!import_shared_clauses()) {
-      solved_unsat_ = true;
-      return finish(Result::Unsat);
-    }
-    // Shared-ordering refresh rides the same boundary: rivals may have
-    // published cores since this solver's rank was projected.
-    poll_rank_refresh();
+  // to 0 above whenever imports were pending).
+  if (trail_.decision_level() == 0 && !import_shared_clauses()) {
+    solved_unsat_ = true;
+    return finish(Result::Unsat);
   }
 
   while (true) {
@@ -684,11 +668,10 @@ Result Solver::solve(const std::vector<Lit>& assumptions) {
       restart_budget = config_.restart_base *
                        luby(static_cast<std::int64_t>(stats_.restarts));
       // Savepoint: restart only down to the assumption prefix unless
-      // root-level work is pending (clause import, rank refresh).
+      // clause imports are pending (they need the root).
       const bool need_root =
           !config_.assumption_savepoint ||
-          (exchange_ != nullptr && exchange_->has_pending()) ||
-          (rank_refresh_ != nullptr && rank_refresh_->has_update());
+          (exchange_ != nullptr && exchange_->has_pending());
       if (!need_root) {
         backtrack(std::min(trail_.decision_level(),
                            static_cast<int>(assumptions_.size())));
@@ -696,13 +679,11 @@ Result Solver::solve(const std::vector<Lit>& assumptions) {
       }
       backtrack(0);
       // Restart = decision-level-zero boundary: the import point where
-      // foreign lemmas learned since the last visit are integrated, and
-      // where a shared-ordering refresh may re-key the decision heap.
+      // foreign lemmas learned since the last visit are integrated.
       if (!import_shared_clauses()) {
         solved_unsat_ = true;
         return finish(Result::Unsat);
       }
-      poll_rank_refresh();
       continue;
     }
     if (config_.enable_reduce_db &&

@@ -85,27 +85,6 @@ class ClauseExchange {
   virtual void import_clauses(ImportSink& sink) = 0;
 };
 
-/// Mid-solve rank-refresh seam for the portfolio's shared decision
-/// ordering (implemented by bmc::RankProjector; the solver stays
-/// ignorant of threads, origin maps and the model-node score space).
-///
-/// Contract: has_update() must be cheap (one atomic epoch compare) — it
-/// gates every poll point.  The solver polls at decision level 0 only
-/// (solve start and restarts; the same boundaries as clause import) and,
-/// when an update is pending, calls refresh() and hands the returned
-/// ranks to DecisionQueue::refresh_ranks — installing the new scores and
-/// rebuilding the heap only if the rank currently participates in the
-/// order.  A refresh never touches the dynamic-fallback switch: a queue
-/// that already fell back to activity order stays fallen back until the
-/// next solve() re-arms it.  The returned span must stay valid until the
-/// next refresh() call and hold at most num_vars() entries.
-class RankRefresh {
- public:
-  virtual ~RankRefresh() = default;
-  virtual bool has_update() const = 0;
-  virtual std::span<const double> refresh() = 0;
-};
-
 struct SolverConfig {
   // Decision scorer (see decision.hpp); the BMC layer derives it from
   // the ordering policy.
@@ -232,13 +211,6 @@ class Solver {
   /// trajectory bit-identical to a solver without the hook.
   void set_clause_exchange(ClauseExchange* exchange) { exchange_ = exchange; }
 
-  /// Attaches a mid-solve rank-refresh hook (portfolio shared ordering).
-  /// Owned by the caller, must outlive every solve(); null (the default)
-  /// keeps the rank feed prepare-time-only — set_variable_rank before
-  /// solve() — and every search trajectory bit-identical to a solver
-  /// without the hook.
-  void set_rank_refresh(RankRefresh* refresh) { rank_refresh_ = refresh; }
-
   // ---- incremental frame guards ---------------------------------------
   /// Declares `v` a frame activation guard (incremental sessions), so
   /// that retiring it later drives the retirement sweep.
@@ -335,12 +307,6 @@ class Solver {
   /// as a learned-tier clause (or asserts it when it reduces to a unit).
   void import_clause(std::span<const Lit> lits, std::uint32_t lbd);
 
-  // -- shared-ordering refresh ----------------------------------------------
-  /// Polls the attached RankRefresh at decision level 0 (solve start and
-  /// restarts) and re-feeds the decision queue when the shared
-  /// accumulation advanced since this solver's last projection.
-  void poll_rank_refresh();
-
   // -- search ---------------------------------------------------------------
   void backtrack(int level);
   static std::int64_t luby(std::int64_t i);
@@ -370,7 +336,6 @@ class Solver {
   std::vector<Lit> import_buf_;              // import root-simplify scratch
   const std::atomic<bool>* stop_ = nullptr;  // not owned; may be null
   ClauseExchange* exchange_ = nullptr;       // not owned; may be null
-  RankRefresh* rank_refresh_ = nullptr;      // not owned; may be null
   bool ok_ = true;
   bool solved_unsat_ = false;
   // Assumption savepoint: the assumption list whose decision levels were

@@ -33,10 +33,6 @@ struct SolverStats {
   std::uint64_t clauses_exported = 0;
   std::uint64_t clauses_imported = 0;
   std::uint64_t import_propagations = 0;
-  /// Shared-ordering refreshes applied (zero without an attached
-  /// RankRefresh): times the solver re-fed its decision queue with an
-  /// advanced rank projection at a level-0 boundary.
-  std::uint64_t rank_refreshes = 0;
   /// Learned clauses spared by the ClauseDB's glue protection (LBD at or
   /// below glue_lbd) across all reduceDB runs.
   std::uint64_t glue_protected = 0;

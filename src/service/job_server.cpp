@@ -185,28 +185,8 @@ void JobServer::run_job(JobRecord& rec) {
     return;
   }
 
-  // Ordering warm start: race through a server-owned shared source,
-  // seeded from the last accumulation snapshotted for this (netlist,
-  // weighting) — then snapshot the merged result back for the next
-  // submission of the same model.
-  std::unique_ptr<bmc::SharedRankSource> rank_source;
-  RankKey rank_key{key.netlist_hash, 0};
-  if (config_.warm_start_ranks) {
-    const portfolio::ResolvedPortfolio r = rec.request.options.resolve();
-    rank_key.weighting = static_cast<int>(r.engine.weighting);
-    rank_source = std::make_unique<bmc::SharedRankSource>(r.engine.weighting);
-    const std::lock_guard<std::mutex> lock(mu_);
-    const auto it = rank_store_.find(rank_key);
-    if (it != rank_store_.end()) {
-      rank_source->seed(it->second);
-      ++stats_.rank_warm_starts;
-      bump("server.rank_warm_starts");
-    }
-  }
-
   api::CheckHooks hooks;
   hooks.stop = &rec.stop;
-  hooks.rank_source = rank_source.get();
   hooks.deadline_sec = deadline_left;
   hooks.on_depth = [this, &rec](const bmc::DepthStats& d) {
     const std::lock_guard<std::mutex> lock(mu_);
@@ -228,14 +208,6 @@ void JobServer::run_job(JobRecord& rec) {
     // the job as resource-limited rather than killing the executor.
     REFBMC_WARN() << "job " << rec.id << " failed: " << e.what();
     rec.result = api::CheckResult{};
-  }
-
-  if (rank_source != nullptr) {
-    const bmc::CoreRanking snap = rank_source->snapshot();
-    if (!snap.scores().empty()) {
-      const std::lock_guard<std::mutex> lock(mu_);
-      rank_store_.insert_or_assign(rank_key, snap);
-    }
   }
 
   // Classify how the race ended.  A definitive verdict is Done no

@@ -24,12 +24,6 @@
 //                   depth, config fingerprint): resubmitting an
 //                   identical job returns the verdict + trace verbatim,
 //                   no solving (poll shows from_cache);
-//   * warm start  — the race's merged rank accumulation is snapshotted
-//                   per (netlist hash, weighting) after every solve and
-//                   seeded into the next race on the same model, so a
-//                   resubmitted-but-not-identical job (deeper bound, new
-//                   budget) starts from a refined ordering instead of
-//                   re-learning it (bmc::SharedRankSource::seed);
 //   * metrics     — queue depth, admission rejects, cache hit rate and
 //                   deadline evictions through obs::MetricsRegistry
 //                   (server.* namespace), when metrics are enabled.
@@ -51,7 +45,6 @@
 #include <vector>
 
 #include "api/refbmc.hpp"
-#include "bmc/ranking.hpp"
 #include "service/result_cache.hpp"
 
 namespace refbmc::service {
@@ -152,9 +145,6 @@ struct ServerConfig {
   int workers = 1;
   std::size_t queue_capacity = 64;  // queued (not running) jobs
   std::size_t cache_capacity = 128;
-  /// Seed each race's SharedRankSource from the last snapshot persisted
-  /// for (netlist hash, core weighting).
-  bool warm_start_ranks = true;
   /// Applied when a submission has no deadline of its own (<= 0: none).
   double default_deadline_sec = -1.0;
 };
@@ -203,7 +193,6 @@ class JobServer {
     std::uint64_t mem_limit_stops = 0;
     std::uint64_t cache_hits = 0;
     std::uint64_t cache_misses = 0;
-    std::uint64_t rank_warm_starts = 0;
     std::size_t queue_depth = 0;
     std::size_t running = 0;
   };
@@ -252,21 +241,6 @@ class JobServer {
   std::size_t running_ = 0;
   bool shutting_down_ = false;
   Stats stats_;
-
-  /// Rank snapshots per (netlist hash, weighting) — the warm-start store.
-  struct RankKey {
-    std::uint64_t netlist_hash;
-    int weighting;
-    bool operator==(const RankKey&) const = default;
-  };
-  struct RankKeyHash {
-    std::size_t operator()(const RankKey& k) const {
-      return static_cast<std::size_t>(
-          k.netlist_hash ^ (0x9e3779b97f4a7c15ull *
-                            static_cast<std::uint64_t>(k.weighting + 1)));
-    }
-  };
-  std::unordered_map<RankKey, bmc::CoreRanking, RankKeyHash> rank_store_;
 
   std::vector<std::thread> executors_;
 };

@@ -12,8 +12,8 @@
 //   * bad index       — which property;
 //   * depth bound     — a `bound` verdict certifies only depths 0..k;
 //   * config          — api::config_fingerprint, which embeds
-//                       bmc::formula_fingerprint (the shard GroupKey
-//                       component) plus every search-affecting knob.
+//                       bmc::formula_fingerprint plus every
+//                       search-affecting knob.
 //
 // LRU with a fixed capacity; all operations mutex-guarded (lookups from
 // concurrent executor threads).  Hit/miss/eviction counters feed the

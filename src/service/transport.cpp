@@ -145,7 +145,6 @@ std::string handle_stats(JobServer& server) {
   w.kv("deadline_evictions", s.deadline_evictions);
   w.kv("cache_hits", s.cache_hits);
   w.kv("cache_misses", s.cache_misses);
-  w.kv("rank_warm_starts", s.rank_warm_starts);
   w.kv("queue_depth", static_cast<std::uint64_t>(s.queue_depth));
   w.kv("running", static_cast<std::uint64_t>(s.running));
   w.kv("cache_size", static_cast<std::uint64_t>(server.cache().size()));

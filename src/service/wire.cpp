@@ -375,14 +375,12 @@ bool read_frame(int fd, std::string& payload, std::size_t max_bytes) {
 void write_race_options(JsonWriter& w, const api::RaceOptions& options) {
   const PortfolioConfig& c = options.cli();
   w.begin_object();
-  w.kv("threads", c.num_threads);
   w.key("policies");
   w.begin_array();
   for (const std::string& p : c.policies) w.value(p);
   w.end_array();
   w.kv("depth", c.max_depth);
   w.kv("budget_sec", c.budget_sec);
-  w.kv("seed", std::to_string(c.seed));  // 64-bit exact: as string
   w.kv("incremental", c.incremental);
   w.kv("simplify", c.simplify);
   w.kv("any_frame", options.bad_mode() == bmc::BadMode::Any);
@@ -392,7 +390,6 @@ void write_race_options(JsonWriter& w, const api::RaceOptions& options) {
   w.kv("share_lbd", c.share_lbd);
   w.kv("share_size", c.share_size);
   w.kv("share_cap", c.share_cap);
-  w.kv("share_rank", c.share_rank);
   w.kv("core_weighting", c.core_weighting);
   w.kv("preprocess", c.preprocess);
   w.kv("bve_budget", c.bve_budget);
@@ -403,7 +400,6 @@ api::RaceOptions parse_race_options(const JsonValue& obj) {
   api::RaceOptions o;
   if (!obj.is_object()) return o;
   const PortfolioConfig defaults;
-  o.threads(static_cast<int>(obj.get_int("threads", defaults.num_threads)));
   if (const JsonValue* ps = obj.find("policies");
       ps != nullptr && ps->is_array() && !ps->items().empty()) {
     std::vector<std::string> names;
@@ -413,7 +409,6 @@ api::RaceOptions parse_race_options(const JsonValue& obj) {
   }
   o.max_depth(static_cast<int>(obj.get_int("depth", defaults.max_depth)));
   o.budget_sec(obj.get_number("budget_sec", defaults.budget_sec));
-  o.seed(obj.get_uint64("seed", defaults.seed));
   o.incremental(obj.get_bool("incremental", defaults.incremental));
   o.simplify(obj.get_bool("simplify", defaults.simplify));
   if (obj.get_bool("any_frame", false)) o.bad_mode(bmc::BadMode::Any);
@@ -424,7 +419,6 @@ api::RaceOptions parse_race_options(const JsonValue& obj) {
   o.share_size(
       static_cast<int>(obj.get_int("share_size", defaults.share_size)));
   o.share_cap(static_cast<int>(obj.get_int("share_cap", defaults.share_cap)));
-  o.share_rank(obj.get_bool("share_rank", defaults.share_rank));
   o.core_weighting(obj.get_string("core_weighting", defaults.core_weighting));
   o.preprocess(obj.get_bool("preprocess", defaults.preprocess));
   o.bve_budget(

@@ -109,7 +109,9 @@ bool read_frame(int fd, std::string& payload,
 void write_race_options(JsonWriter& w, const api::RaceOptions& options);
 
 /// Decodes an options object written by write_race_options (absent
-/// members keep defaults, so old clients stay decodable).
+/// members keep defaults and unknown ones, among them the retired
+/// thread-count, seed and rank-sharing members, are ignored, so old
+/// clients stay decodable).
 api::RaceOptions parse_race_options(const JsonValue& obj);
 
 /// Encodes a JobStatus response body (the "ok" envelope is the

@@ -2,7 +2,6 @@
 
 #include <cstdlib>
 #include <stdexcept>
-#include <thread>
 
 namespace refbmc {
 
@@ -77,22 +76,9 @@ std::vector<std::string> split_csv(const std::string& csv) {
 
 PortfolioConfig PortfolioConfig::from_options(const Options& opts) {
   PortfolioConfig cfg;
-  cfg.num_threads = opts.get_int("threads", cfg.num_threads);
   if (opts.has("policies")) cfg.policies = split_csv(opts.get("policies"));
   cfg.max_depth = opts.get_int("depth", cfg.max_depth);
   cfg.budget_sec = opts.get_double("budget", cfg.budget_sec);
-  if (opts.has("seed")) {
-    const std::string raw = opts.get("seed");
-    try {
-      if (!raw.empty() && raw[0] == '-') throw std::invalid_argument(raw);
-      std::size_t pos = 0;
-      cfg.seed = std::stoull(raw, &pos);
-      if (pos != raw.size()) throw std::invalid_argument(raw);
-    } catch (const std::exception&) {
-      throw std::invalid_argument(
-          "option --seed expects a non-negative integer, got '" + raw + "'");
-    }
-  }
   cfg.incremental = opts.get_bool("incremental", cfg.incremental);
   cfg.simplify = opts.get_bool("simplify", cfg.simplify);
   cfg.glue_lbd = opts.get_int("glue-lbd", cfg.glue_lbd);
@@ -101,12 +87,6 @@ PortfolioConfig PortfolioConfig::from_options(const Options& opts) {
   cfg.share_lbd = opts.get_int("share-lbd", cfg.share_lbd);
   cfg.share_size = opts.get_int("share-size", cfg.share_size);
   cfg.share_cap = opts.get_int("share-cap", cfg.share_cap);
-  // Hardware-adaptive default: with one hardware thread the racing
-  // entrants timeslice, so mid-solve rank refreshes buy nothing and the
-  // epoch polling is pure overhead.  (hardware_concurrency() may report
-  // 0 = unknown; treat that as multi-core and keep the feature on.)
-  cfg.share_rank = opts.get_bool(
-      "share-rank", std::thread::hardware_concurrency() != 1);
   cfg.core_weighting = opts.get("core-weighting", cfg.core_weighting);
   cfg.preprocess = opts.get_bool("preprocess", cfg.preprocess);
   cfg.bve_budget = opts.get_int("bve-budget", cfg.bve_budget);
@@ -119,8 +99,6 @@ PortfolioConfig PortfolioConfig::from_options(const Options& opts) {
 }
 
 void PortfolioConfig::validate() const {
-  if (num_threads < 1)
-    throw std::invalid_argument("option --threads expects a value >= 1");
   if (policies.empty())
     throw std::invalid_argument("option --policies expects a non-empty "
                                 "comma-separated list");

@@ -6,7 +6,6 @@
 // Unrecognized arguments are collected as positionals.
 #pragma once
 
-#include <cstdint>
 #include <map>
 #include <string>
 #include <vector>
@@ -41,33 +40,23 @@ std::vector<std::string> split_csv(const std::string& csv);
 /// names (util cannot depend on bmc); the portfolio layer resolves them
 /// to OrderingPolicy values and rejects unknown names there.
 struct PortfolioConfig {
-  int num_threads = 4;
   std::vector<std::string> policies{"baseline", "static", "dynamic",
                                     "shtrichman", "evsids"};
   int max_depth = 20;
-  double budget_sec = -1.0;  // wall-clock budget per race / batch (<=0: none)
-  std::uint64_t seed = 1;    // base RNG seed; worker w uses seed + w
-  bool incremental = false;  // per-job incremental SAT mode
+  double budget_sec = -1.0;  // wall-clock budget per race (<=0: none)
+  bool incremental = false;  // per-entrant incremental SAT mode
   bool simplify = true;      // frame-wise formula simplification
   /// Solver-core knobs; the portfolio layer validates them.  The
   /// decision scorer follows the ordering policy.
   int glue_lbd = 2;   // learned clauses at or below this LBD never deleted
   int tier_lbd = 6;   // mid-tier LBD boundary of reduceDB
-  /// Portfolio lemma sharing (clause exchange between racing solvers /
-  /// shard groups on the same formula).  `--share off` restores fully
-  /// independent solvers, bit for bit.
+  /// Portfolio lemma sharing (clause exchange between racing solvers on
+  /// the same formula).  `--share off` restores fully independent
+  /// solvers, bit for bit.
   bool share = true;       // --share on|off
   int share_lbd = 4;       // export learnts with lbd <= this ...
   int share_size = 2;      // ... or size <= this
   int share_cap = 4096;    // pool ring capacity, in clauses
-  /// Portfolio ordering sharing (one race-wide rank accumulation fed by
-  /// every entrant's unsat cores, refreshed mid-solve).  `--share-rank
-  /// off` restores engine-private core rankings, bit for bit.  The
-  /// default adapts to the hardware: on a single-hardware-thread host the
-  /// racing entrants timeslice, so mid-solve refreshes only add epoch
-  /// polling overhead — the default flips to off there (explicit
-  /// `--share-rank on` still wins).
-  bool share_rank = true;  // --share-rank on|off (default is hw-adaptive)
   /// Tape preprocessing (PR 7): bounded variable elimination, subsumption
   /// and self-subsuming resolution over the encoded formula, run once per
   /// depth race-wide.  `--preprocess off` restores the unsimplified
@@ -93,23 +82,22 @@ struct PortfolioConfig {
   int trace_buffer_kb = 256;  // --trace-buffer-kb: per-thread ring size
   std::string metrics_file;   // --metrics FILE ("" = metrics off)
 
-  /// Reads `--threads`, `--policies a,b,c`, `--depth`, `--budget`,
-  /// `--seed`, `--incremental`, `--simplify 0|1`, `--glue-lbd`,
-  /// `--tier-lbd`, `--share 0|1`, `--share-lbd`, `--share-size`,
-  /// `--share-cap`, `--share-rank 0|1`, `--core-weighting W`,
+  /// Reads `--policies a,b,c`, `--depth`, `--budget`, `--incremental`,
+  /// `--simplify 0|1`, `--glue-lbd`, `--tier-lbd`, `--share 0|1`,
+  /// `--share-lbd`, `--share-size`, `--share-cap`, `--core-weighting W`,
   /// `--preprocess 0|1`, `--bve-budget N`, `--mem-ceiling MB`,
   /// `--trace FILE`, `--trace-buffer-kb KB`, `--metrics FILE`; absent
-  /// options keep the defaults above (share_rank defaulting off when the
-  /// host has one hardware thread).  Unknown options are ignored, among
-  /// them the retired flags for the decision scorer and the savepoint.
-  /// Throws std::invalid_argument on non-numeric numbers and on what
-  /// validate() rejects.
+  /// options keep the defaults above.  Unknown options are ignored,
+  /// among them the retired `--threads`, `--seed`, `--share-rank`,
+  /// `--decision` and `--assumption-savepoint`.  Throws
+  /// std::invalid_argument on non-numeric numbers and on what validate()
+  /// rejects.
   static PortfolioConfig from_options(const Options& opts);
 
   /// The range checks every entry point shares (from_options and
   /// portfolio::resolve, hence api::check and JobServer::submit too).
-  /// Throws std::invalid_argument on threads < 1, an empty policy list,
-  /// depth < 0, tier-lbd below glue-lbd, negative share filters,
+  /// Throws std::invalid_argument on an empty policy list, depth < 0,
+  /// tier-lbd below glue-lbd, negative share filters,
   /// share-cap < 1, bve-budget < 1, mem-ceiling < 0 or
   /// trace-buffer-kb < 1.
   void validate() const;

@@ -66,25 +66,17 @@ TEST(FacadeTest, FacadeAgreesWithDirectEngine) {
 TEST(FacadeTest, FromOptionsMatchesBuilder) {
   // The shared CLI path and the chainable setters must land on the same
   // fingerprint — i.e. the exact same race.
-  // --share-rank is pinned because its CLI default is hardware-adaptive
-  // (off on a single-hardware-thread host) while the builder default is
-  // a plain `true` — the one knob where the two paths intentionally
-  // start from different places.
   const Options opts = make_options(
       {"--policies", "static,dynamic", "--depth", "17", "--budget", "3.5",
-       "--threads", "2", "--seed", "99", "--incremental", "--share", "0",
-       "--share-rank", "0", "--core-weighting", "exp-decay"});
+       "--incremental", "--share", "0", "--core-weighting", "exp-decay"});
   const RaceOptions from_cli = RaceOptions::from_options(opts);
 
   RaceOptions built;
   built.policies({"static", "dynamic"})
       .max_depth(17)
       .budget_sec(3.5)
-      .threads(2)
-      .seed(99)
       .incremental(true)
       .share(false)
-      .share_rank(false)
       .core_weighting("exp-decay");
   EXPECT_EQ(config_fingerprint(from_cli), config_fingerprint(built));
 }
@@ -110,8 +102,8 @@ TEST(FacadeTest, InvalidValuesSurfaceAtResolveTime) {
 TEST(FacadeTest, FingerprintIsDeterministic) {
   RaceOptions a, b;
   EXPECT_EQ(config_fingerprint(a), config_fingerprint(b));
-  a.max_depth(31).seed(5).share_lbd(3);
-  b.max_depth(31).seed(5).share_lbd(3);
+  a.max_depth(31).share_cap(512).share_lbd(3);
+  b.max_depth(31).share_cap(512).share_lbd(3);
   EXPECT_EQ(config_fingerprint(a), config_fingerprint(b));
 }
 
@@ -124,8 +116,6 @@ TEST(FacadeTest, FingerprintCoversEveryKnob) {
       {"policies", [](RaceOptions& o) { o.policy("static"); }},
       {"max_depth", [](RaceOptions& o) { o.max_depth(21); }},
       {"budget_sec", [](RaceOptions& o) { o.budget_sec(9.0); }},
-      {"threads", [](RaceOptions& o) { o.threads(3); }},
-      {"seed", [](RaceOptions& o) { o.seed(12345); }},
       {"incremental", [](RaceOptions& o) { o.incremental(true); }},
       {"simplify", [](RaceOptions& o) { o.simplify(false); }},
       {"bad_mode", [](RaceOptions& o) { o.bad_mode(bmc::BadMode::Any); }},
@@ -135,7 +125,6 @@ TEST(FacadeTest, FingerprintCoversEveryKnob) {
       {"share_lbd", [](RaceOptions& o) { o.share_lbd(5); }},
       {"share_size", [](RaceOptions& o) { o.share_size(3); }},
       {"share_cap", [](RaceOptions& o) { o.share_cap(512); }},
-      {"share_rank", [](RaceOptions& o) { o.share_rank(false); }},
       {"core_weighting",
        [](RaceOptions& o) { o.core_weighting("uniform"); }},
       {"preprocess", [](RaceOptions& o) { o.preprocess(false); }},
@@ -151,9 +140,7 @@ TEST(FacadeTest, FingerprintCoversEveryKnob) {
 
 TEST(FacadeTest, FingerprintEmbedsFormulaFingerprint) {
   // Formula-shaping knobs move both fingerprints; search-only knobs move
-  // config_fingerprint while the formula identity (what the shard
-  // GroupKey sees) stays put.  This is the shard/cache agreement the
-  // cache key relies on.
+  // config_fingerprint while the formula identity stays put.
   const auto formula_of = [](const RaceOptions& o) {
     return bmc::formula_fingerprint(o.resolve().engine);
   };
@@ -164,7 +151,7 @@ TEST(FacadeTest, FingerprintEmbedsFormulaFingerprint) {
   EXPECT_NE(config_fingerprint(formula_knob), config_fingerprint(base));
 
   RaceOptions search_knob;
-  search_knob.threads(7).seed(321).share_lbd(6);
+  search_knob.glue_lbd(3).share_lbd(6);
   EXPECT_EQ(formula_of(search_knob), formula_of(base));
   EXPECT_NE(config_fingerprint(search_knob), config_fingerprint(base));
 }

@@ -104,7 +104,7 @@ TEST(MemCeilingTest, ServerClassifiesBreachAsMemLimitExceeded) {
   api::CheckRequest req;
   req.net = bm.net;
   req.name = "tiny-ceiling";
-  req.options.max_depth(40).threads(2).incremental(true).mem_ceiling_mb(1);
+  req.options.max_depth(40).incremental(true).mem_ceiling_mb(1);
 
   service::JobServer server;
   const auto outcome = server.submit(std::move(req));

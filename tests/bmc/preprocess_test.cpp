@@ -227,7 +227,7 @@ TEST(PreprocessTapeTest, SimplifiedReplayShrinksAndIsDeterministic) {
   EXPECT_EQ(clauses_out, simplified);
 
   // Two fresh consumers replay identical streams: same var_map, same
-  // solver shape — the shard-group "one formula, many solvers" premise.
+  // solver shape — the race's "one formula, many solvers" premise.
   RecordingSolverSink sink1, sink2;
   ClauseTape::Cursor c1, c2;
   tape.replay_to(k, c1, sink1);

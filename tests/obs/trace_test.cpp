@@ -171,16 +171,15 @@ TEST_F(TraceTest, KindMetadataIsTotal) {
   // Every kind has a non-empty name, a known category, and a span flag
   // consistent with the enum's documentation.
   const EventKind kinds[] = {
-      EventKind::SpanDepth,    EventKind::SpanEncode,
-      EventKind::SpanSimplify, EventKind::SpanSolve,
-      EventKind::TapeEncode,   EventKind::Restart,
-      EventKind::ReduceDb,     EventKind::ImportBatch,
-      EventKind::ExportBatch,  EventKind::RankRefresh,
-      EventKind::DynamicFallback, EventKind::JobSubmit,
-      EventKind::JobStart,     EventKind::JobVerdict,
-      EventKind::CancelRequest, EventKind::JobStop,
-      EventKind::PoolPublish,  EventKind::PoolClose,
-      EventKind::RankPublish,  EventKind::SpanPreprocess};
+      EventKind::SpanDepth,       EventKind::SpanEncode,
+      EventKind::SpanSimplify,    EventKind::SpanSolve,
+      EventKind::TapeEncode,      EventKind::Restart,
+      EventKind::ReduceDb,        EventKind::ImportBatch,
+      EventKind::ExportBatch,     EventKind::DynamicFallback,
+      EventKind::JobSubmit,       EventKind::JobStart,
+      EventKind::JobVerdict,      EventKind::CancelRequest,
+      EventKind::JobStop,         EventKind::PoolPublish,
+      EventKind::PoolClose,       EventKind::SpanPreprocess};
   for (const EventKind k : kinds) {
     EXPECT_STRNE(to_string(k), "");
     const std::string cat = category(k);
@@ -189,7 +188,6 @@ TEST_F(TraceTest, KindMetadataIsTotal) {
   EXPECT_TRUE(is_span(EventKind::SpanDepth));
   EXPECT_TRUE(is_span(EventKind::SpanSolve));
   EXPECT_TRUE(is_span(EventKind::ImportBatch));
-  EXPECT_TRUE(is_span(EventKind::RankRefresh));
   EXPECT_TRUE(is_span(EventKind::SpanPreprocess));
   EXPECT_FALSE(is_span(EventKind::Restart));
   EXPECT_FALSE(is_span(EventKind::PoolPublish));

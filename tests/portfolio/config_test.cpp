@@ -3,7 +3,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <thread>
 #include <utility>
 #include <vector>
 
@@ -68,7 +67,6 @@ TEST(SplitCsvTest, SplitsAndDropsEmpties) {
 
 TEST(PortfolioConfigTest, Defaults) {
   const PortfolioConfig cfg = PortfolioConfig::from_options(parse({}));
-  EXPECT_EQ(cfg.num_threads, 4);
   EXPECT_EQ(cfg.policies,
             (std::vector<std::string>{"baseline", "static", "dynamic",
                                       "shtrichman", "evsids"}));
@@ -76,41 +74,25 @@ TEST(PortfolioConfigTest, Defaults) {
   EXPECT_LT(cfg.budget_sec, 0.0);
   EXPECT_FALSE(cfg.incremental);
   EXPECT_TRUE(cfg.simplify);
+  EXPECT_EQ(cfg.core_weighting, "linear");
 }
 
 TEST(PortfolioConfigTest, ParsesEveryKnob) {
   const PortfolioConfig cfg = PortfolioConfig::from_options(
-      parse({"--threads", "8", "--policies", "dynamic,static", "--depth",
-             "33", "--budget", "2.5", "--seed", "9", "--incremental",
-             "--simplify", "0"}));
-  EXPECT_EQ(cfg.num_threads, 8);
+      parse({"--policies", "dynamic,static", "--depth", "33", "--budget",
+             "2.5", "--incremental", "--simplify", "0"}));
   EXPECT_EQ(cfg.policies, (std::vector<std::string>{"dynamic", "static"}));
   EXPECT_EQ(cfg.max_depth, 33);
   EXPECT_DOUBLE_EQ(cfg.budget_sec, 2.5);
-  EXPECT_EQ(cfg.seed, 9u);
   EXPECT_TRUE(cfg.incremental);
   EXPECT_FALSE(cfg.simplify);
 }
 
 TEST(PortfolioConfigTest, RejectsBadValues) {
-  EXPECT_THROW(PortfolioConfig::from_options(parse({"--threads", "0"})),
-               std::invalid_argument);
   EXPECT_THROW(PortfolioConfig::from_options(parse({"--policies", ","})),
-               std::invalid_argument);
-  EXPECT_THROW(PortfolioConfig::from_options(parse({"--seed", "-3"})),
-               std::invalid_argument);
-  EXPECT_THROW(PortfolioConfig::from_options(parse({"--seed", "x"})),
-               std::invalid_argument);
-  EXPECT_THROW(PortfolioConfig::from_options(parse({"--seed", "7abc"})),
                std::invalid_argument);
   EXPECT_THROW(PortfolioConfig::from_options(parse({"--depth", "-1"})),
                std::invalid_argument);
-}
-
-TEST(PortfolioConfigTest, SeedIsFullWidth) {
-  const PortfolioConfig cfg =
-      PortfolioConfig::from_options(parse({"--seed", "5000000000"}));
-  EXPECT_EQ(cfg.seed, 5000000000ull);
 }
 
 TEST(ResolveTest, MapsNamesToPoliciesAndEngineKnobs) {
@@ -120,7 +102,6 @@ TEST(ResolveTest, MapsNamesToPoliciesAndEngineKnobs) {
   cfg.incremental = true;
   cfg.simplify = false;
   cfg.budget_sec = 1.5;
-  cfg.num_threads = 2;
   const ResolvedPortfolio r = resolve(cfg);
   EXPECT_EQ(r.policies, (std::vector<OrderingPolicy>{
                             OrderingPolicy::Static, OrderingPolicy::Baseline}));
@@ -128,7 +109,6 @@ TEST(ResolveTest, MapsNamesToPoliciesAndEngineKnobs) {
   EXPECT_TRUE(r.engine.incremental);
   EXPECT_FALSE(r.engine.simplify);
   EXPECT_DOUBLE_EQ(r.engine.total_time_limit_sec, 1.5);
-  EXPECT_EQ(r.num_threads, 2);
 }
 
 TEST(ResolveTest, UnknownPolicyThrows) {
@@ -142,7 +122,6 @@ TEST(ResolveTest, RejectsWhatTheCliRejects) {
   // from_options, so the range checks must hold here too.
   const std::vector<std::pair<const char*, void (*)(PortfolioConfig&)>>
       bad_values{
-          {"threads 0", [](PortfolioConfig& c) { c.num_threads = 0; }},
           {"share_cap 0", [](PortfolioConfig& c) { c.share_cap = 0; }},
           {"tier below glue",
            [](PortfolioConfig& c) {
@@ -183,11 +162,15 @@ TEST(ResolveTest, LbdTiersResolve) {
 }
 
 TEST(PortfolioConfigTest, ParsesLbdKnobsAndIgnoresRetiredFlags) {
-  // The decision scorer follows the policy and the assumption savepoint
-  // follows --incremental, so an old command line with --decision or
-  // --assumption-savepoint still parses, the flags ignored.
+  // The decision scorer follows the policy, the assumption savepoint
+  // follows --incremental, a race runs one thread per entrant and
+  // entrants no longer exchange rankings, so an old command line with
+  // --decision, --assumption-savepoint, --threads, --seed or
+  // --share-rank still parses, the flags ignored — even with values the
+  // old parser rejected.
   const PortfolioConfig cfg = PortfolioConfig::from_options(
       parse({"--decision", "evsids", "--assumption-savepoint", "off",
+             "--threads", "0", "--seed", "-3", "--share-rank", "maybe",
              "--glue-lbd", "3", "--tier-lbd", "9"}));
   EXPECT_EQ(cfg.glue_lbd, 3);
   EXPECT_EQ(cfg.tier_lbd, 9);
@@ -277,24 +260,6 @@ TEST(WeightingNameTest, UnknownWeightingIsRejected) {
   EXPECT_THROW(resolve(cfg), std::invalid_argument);
 }
 
-TEST(PortfolioConfigTest, ShareRankDefaultIsHardwareAdaptive) {
-  // Mid-solve rank refreshes only pay off when rivals actually run in
-  // parallel: on a single-hardware-thread host the unflagged default is
-  // off; anywhere else (including unknown = 0) it stays on.  An explicit
-  // flag always wins over the probe.
-  const PortfolioConfig defaults = PortfolioConfig::from_options(parse({}));
-  EXPECT_EQ(defaults.share_rank, std::thread::hardware_concurrency() != 1);
-  EXPECT_EQ(defaults.core_weighting, "linear");
-
-  EXPECT_TRUE(PortfolioConfig::from_options(parse({"--share-rank", "on"}))
-                  .share_rank);
-  const PortfolioConfig cfg =
-      PortfolioConfig::from_options(parse({"--share-rank", "off"}));
-  EXPECT_FALSE(cfg.share_rank);
-  EXPECT_THROW(PortfolioConfig::from_options(parse({"--share-rank", "maybe"})),
-               std::invalid_argument);
-}
-
 TEST(PortfolioConfigTest, PreprocessDefaultsOnAndParses) {
   const PortfolioConfig defaults = PortfolioConfig::from_options(parse({}));
   EXPECT_TRUE(defaults.preprocess);
@@ -322,19 +287,6 @@ TEST(ResolveTest, PreprocessKnobsResolve) {
   cfg.preprocess = false;
   const ResolvedPortfolio off = resolve(cfg);
   EXPECT_FALSE(off.engine.preprocess.enabled);
-}
-
-TEST(ResolveTest, RankSharingKnobResolves) {
-  PortfolioConfig cfg;
-  cfg.share_rank = false;
-  EXPECT_FALSE(resolve(cfg).sharing.rank);
-  cfg.share_rank = true;
-  EXPECT_TRUE(resolve(cfg).sharing.rank);
-  // Lemma and rank sharing are independent switches.
-  cfg.share = false;
-  const ResolvedPortfolio r = resolve(cfg);
-  EXPECT_FALSE(r.sharing.enabled);
-  EXPECT_TRUE(r.sharing.rank);
 }
 
 }  // namespace

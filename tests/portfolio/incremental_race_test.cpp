@@ -1,8 +1,8 @@
-// Incremental sessions inside a portfolio race (PR 8): every entrant
-// keeps one persistent solver fed by preprocessed per-depth deltas with
-// the assumption savepoint on, while lemma sharing and rank sharing
-// churn underneath — verdicts, cex depths and extracted traces must
-// stay indistinguishable from the suite expectation across the matrix.
+// Incremental sessions inside a portfolio race: every entrant keeps one
+// persistent solver fed by preprocessed per-depth deltas with the
+// assumption savepoint on, while lemma sharing churns underneath —
+// verdicts, cex depths and extracted traces must stay indistinguishable
+// from the suite expectation across the matrix.
 #include <gtest/gtest.h>
 
 #include "bmc/trace.hpp"
@@ -25,39 +25,29 @@ bmc::EngineConfig incremental_engine(const model::Benchmark& bm,
   return cfg;
 }
 
-SharingConfig sharing(bool lemmas, bool rank) {
-  SharingConfig cfg;
-  cfg.enabled = lemmas;
-  cfg.rank = rank;
-  return cfg;
-}
-
 TEST(IncrementalRaceTest, VerdictsMatchAcrossSharingAndPreprocessMatrix) {
-  // share × rank × preprocess with incremental sessions — eight
-  // configurations per model (Shtrichman is scratch-only, so the racing
-  // policy set stays within the incremental-capable ones).
+  // share × preprocess with incremental sessions — four configurations
+  // per model (Shtrichman is scratch-only, so the racing policy set
+  // stays within the incremental-capable ones).
   for (const auto& bm : model::quick_suite()) {
     int expected_cex_depth = -2;  // sentinel: not yet observed
     for (const bool lemmas : {false, true}) {
-      for (const bool rank : {false, true}) {
-        const PortfolioScheduler scheduler(4, /*base_seed=*/31,
-                                           sharing(lemmas, rank));
-        for (const bool preprocess : {false, true}) {
-          const RaceResult race = scheduler.race(
-              bm.net, 0, incremental_engine(bm, preprocess),
-              {OrderingPolicy::Baseline, OrderingPolicy::Dynamic});
-          ASSERT_TRUE(race.has_winner())
-              << bm.name << " lemmas=" << lemmas << " rank=" << rank
-              << " preprocess=" << preprocess;
-          EXPECT_EQ(
-              race.status() == BmcResult::Status::CounterexampleFound,
-              bm.expect_fail)
-              << bm.name;
-          if (!bm.expect_fail) continue;
-          const int depth = race.winning().result.counterexample_depth;
-          if (expected_cex_depth == -2) expected_cex_depth = depth;
-          EXPECT_EQ(depth, expected_cex_depth) << bm.name;
-        }
+      SharingConfig sharing;
+      sharing.enabled = lemmas;
+      for (const bool preprocess : {false, true}) {
+        const RaceResult race = portfolio::race(
+            bm.net, 0, incremental_engine(bm, preprocess),
+            {OrderingPolicy::Baseline, OrderingPolicy::Dynamic}, sharing);
+        ASSERT_TRUE(race.has_winner())
+            << bm.name << " lemmas=" << lemmas
+            << " preprocess=" << preprocess;
+        EXPECT_EQ(race.status() == BmcResult::Status::CounterexampleFound,
+                  bm.expect_fail)
+            << bm.name;
+        if (!bm.expect_fail) continue;
+        const int depth = race.winning().result.counterexample_depth;
+        if (expected_cex_depth == -2) expected_cex_depth = depth;
+        EXPECT_EQ(depth, expected_cex_depth) << bm.name;
       }
     }
   }
@@ -71,9 +61,8 @@ TEST(IncrementalRaceTest, PreprocessedIncrementalTracesReplay) {
       model::counter_reach(4, 7, true),
       model::with_distractor(model::counter_reach(3, 5, true), 3, 1)};
   for (const auto& bm : models) {
-    const PortfolioScheduler scheduler(4, /*base_seed=*/7);
     const RaceResult race =
-        scheduler.race(bm.net, 0, incremental_engine(bm, true));
+        portfolio::race(bm.net, 0, incremental_engine(bm, true));
     ASSERT_TRUE(race.has_winner()) << bm.name;
     const BmcResult& r = race.winning().result;
     ASSERT_EQ(r.status, BmcResult::Status::CounterexampleFound) << bm.name;

@@ -1,10 +1,10 @@
-// Remapping soundness across the portfolio (PR 7 satellite): racing
-// entrants solve the PREPROCESSED formula while verdicts, cex depths,
-// and extracted traces are reported in model-node space — so a race
-// with preprocessing on must be indistinguishable, result-wise, from
-// one with it off, across the sharing × rank-sharing matrix.  Also
-// covers the pool seam: clauses travel in tape space, and imports that
-// mention a variable this consumer eliminated are dropped, not parked.
+// Remapping soundness across the portfolio: racing entrants solve the
+// PREPROCESSED formula while verdicts, cex depths, and extracted traces
+// are reported in model-node space — so a race with preprocessing on
+// must be indistinguishable, result-wise, from one with it off, with
+// lemma sharing on and off.  Also covers the pool seam: clauses travel
+// in tape space, and imports that mention a variable this consumer
+// eliminated are dropped, not parked.
 #include <gtest/gtest.h>
 
 #include "bmc/trace.hpp"
@@ -24,39 +24,29 @@ bmc::EngineConfig engine_for(const model::Benchmark& bm, bool preprocess) {
   return cfg;
 }
 
-SharingConfig sharing(bool lemmas, bool rank) {
-  SharingConfig cfg;
-  cfg.enabled = lemmas;
-  cfg.rank = rank;
-  return cfg;
-}
-
 TEST(PreprocessRaceTest, VerdictsMatchAcrossSharingAndPreprocessMatrix) {
-  // share × rank × preprocess — eight configurations per model, all
-  // required to agree with the suite expectation and with each other on
-  // the counterexample depth.
+  // share × preprocess — four configurations per model, all required to
+  // agree with the suite expectation and with each other on the
+  // counterexample depth.
   for (const auto& bm : model::quick_suite()) {
     int expected_cex_depth = -2;  // sentinel: not yet observed
     for (const bool lemmas : {false, true}) {
-      for (const bool rank : {false, true}) {
-        const PortfolioScheduler scheduler(4, /*base_seed=*/21,
-                                           sharing(lemmas, rank));
-        for (const bool preprocess : {false, true}) {
-          const RaceResult race = scheduler.race(
-              bm.net, 0, engine_for(bm, preprocess),
-              {OrderingPolicy::Baseline, OrderingPolicy::Dynamic});
-          ASSERT_TRUE(race.has_winner())
-              << bm.name << " lemmas=" << lemmas << " rank=" << rank
-              << " preprocess=" << preprocess;
-          EXPECT_EQ(
-              race.status() == BmcResult::Status::CounterexampleFound,
-              bm.expect_fail)
-              << bm.name;
-          if (!bm.expect_fail) continue;
-          const int depth = race.winning().result.counterexample_depth;
-          if (expected_cex_depth == -2) expected_cex_depth = depth;
-          EXPECT_EQ(depth, expected_cex_depth) << bm.name;
-        }
+      SharingConfig sharing;
+      sharing.enabled = lemmas;
+      for (const bool preprocess : {false, true}) {
+        const RaceResult race = portfolio::race(
+            bm.net, 0, engine_for(bm, preprocess),
+            {OrderingPolicy::Baseline, OrderingPolicy::Dynamic}, sharing);
+        ASSERT_TRUE(race.has_winner())
+            << bm.name << " lemmas=" << lemmas
+            << " preprocess=" << preprocess;
+        EXPECT_EQ(race.status() == BmcResult::Status::CounterexampleFound,
+                  bm.expect_fail)
+            << bm.name;
+        if (!bm.expect_fail) continue;
+        const int depth = race.winning().result.counterexample_depth;
+        if (expected_cex_depth == -2) expected_cex_depth = depth;
+        EXPECT_EQ(depth, expected_cex_depth) << bm.name;
       }
     }
   }
@@ -71,9 +61,8 @@ TEST(PreprocessRaceTest, ExtractedTracesProjectToModelSpace) {
       model::counter_reach(4, 7, true),
       model::with_distractor(model::counter_reach(3, 5, true), 3, 1)};
   for (const auto& bm : models) {
-    const PortfolioScheduler scheduler(4, /*base_seed=*/5);
     const RaceResult race =
-        scheduler.race(bm.net, 0, engine_for(bm, /*preprocess=*/true));
+        portfolio::race(bm.net, 0, engine_for(bm, /*preprocess=*/true));
     ASSERT_TRUE(race.has_winner()) << bm.name;
     const BmcResult& r = race.winning().result;
     ASSERT_EQ(r.status, BmcResult::Status::CounterexampleFound) << bm.name;
@@ -82,37 +71,13 @@ TEST(PreprocessRaceTest, ExtractedTracesProjectToModelSpace) {
   }
 }
 
-TEST(PreprocessRaceTest, ShardGroupsAgreeOnPreprocessedFormula) {
-  // Two shard jobs on the same netlist with the same preprocess config
-  // land in one tape group; mixed configs must split into separate
-  // groups (asserted indirectly: both verdicts stay correct).
-  const model::Benchmark bm = model::counter_safe(5, 20, 25);
-  std::vector<Job> jobs;
-  for (const bool preprocess : {true, true, false}) {
-    Job job;
-    job.net = &bm.net;
-    job.name = preprocess ? "prep" : "plain";
-    job.config = engine_for(bm, preprocess);
-    job.config.policy = OrderingPolicy::Dynamic;
-    jobs.push_back(std::move(job));
-  }
-  PortfolioScheduler scheduler(2, /*base_seed=*/9);
-  const BatchReport report = scheduler.run_batch(jobs);
-  ASSERT_EQ(report.results.size(), 3u);
-  for (const auto& r : report.results) {
-    EXPECT_EQ(r.result.status, BmcResult::Status::BoundReached) << r.name;
-    EXPECT_EQ(r.result.last_completed_depth, bm.suggested_bound) << r.name;
-  }
-}
-
 TEST(PreprocessRaceTest, PreprocessedRaceStillExchangesClauses) {
   // Liveness with the new drop-at-delivery rule: the pool must not
   // starve just because consumers run preprocessed formulas.  Exports
   // are tape-space, so anything over surviving variables still lands.
   const model::Benchmark bm = model::needle(6, 6, 40, 50);
-  const PortfolioScheduler scheduler(4, /*base_seed=*/3);
   const RaceResult race =
-      scheduler.race(bm.net, 0, engine_for(bm, /*preprocess=*/true));
+      portfolio::race(bm.net, 0, engine_for(bm, /*preprocess=*/true));
   ASSERT_TRUE(race.has_winner());
   EXPECT_GT(race.clauses_exported, 0u);
 }

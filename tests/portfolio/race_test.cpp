@@ -21,7 +21,6 @@ bmc::EngineConfig engine_for(const model::Benchmark& bm) {
 }
 
 TEST(PortfolioRaceTest, VerdictsMatchEverySinglePolicyRun) {
-  const PortfolioScheduler scheduler(4, /*base_seed=*/7);
   for (const auto& bm : model::quick_suite()) {
     const bmc::EngineConfig engine = engine_for(bm);
 
@@ -45,7 +44,7 @@ TEST(PortfolioRaceTest, VerdictsMatchEverySinglePolicyRun) {
     }
 
     // ...and the race agrees with all of them.
-    const RaceResult race = scheduler.race(bm.net, 0, engine);
+    const RaceResult race = portfolio::race(bm.net, 0, engine);
     ASSERT_TRUE(race.has_winner()) << bm.name;
     EXPECT_EQ(race.entrants.size(), default_race_policies().size());
     EXPECT_EQ(race.status(), singles.front().result.status) << bm.name;
@@ -61,8 +60,7 @@ TEST(PortfolioRaceTest, VerdictsMatchEverySinglePolicyRun) {
 
 TEST(PortfolioRaceTest, SinglePolicyRaceWorks) {
   const model::Benchmark bm = model::arbiter_buggy(4);  // fails at depth 1
-  const PortfolioScheduler scheduler(1);
-  const RaceResult race = scheduler.race(
+  const RaceResult race = portfolio::race(
       bm.net, 0, engine_for(bm), {OrderingPolicy::Dynamic});
   ASSERT_TRUE(race.has_winner());
   EXPECT_EQ(race.winner, 0);
@@ -75,8 +73,7 @@ TEST(PortfolioRaceTest, LosersAreCancelledNotWrong) {
   // close behind) or were cut off with ResourceLimit — never a
   // contradicting verdict.
   const model::Benchmark bm = model::needle(6, 6, 40, 40);
-  const PortfolioScheduler scheduler(4);
-  const RaceResult race = scheduler.race(bm.net, 0, engine_for(bm));
+  const RaceResult race = portfolio::race(bm.net, 0, engine_for(bm));
   ASSERT_TRUE(race.has_winner());
   for (const auto& entrant : race.entrants) {
     if (entrant.result.status == BmcResult::Status::ResourceLimit) continue;
@@ -93,8 +90,7 @@ TEST(PortfolioRaceTest, ExternalStopCancelsTheWholeRace) {
   bmc::EngineConfig engine = engine_for(bm);
   engine.max_depth = 100000;
   engine.stop = &external;
-  const PortfolioScheduler scheduler(4);
-  const RaceResult race = scheduler.race(bm.net, 0, engine);
+  const RaceResult race = portfolio::race(bm.net, 0, engine);
   EXPECT_FALSE(race.has_winner());
   EXPECT_EQ(race.status(), BmcResult::Status::ResourceLimit);
   for (const auto& entrant : race.entrants)
@@ -109,8 +105,7 @@ TEST(PortfolioRaceTest, RaceEncodesEachDepthExactlyOnce) {
   const int bound = 8;
   bmc::EngineConfig engine;
   engine.max_depth = bound;
-  const PortfolioScheduler scheduler(4);
-  const RaceResult race = scheduler.race(bm.net, 0, engine);
+  const RaceResult race = portfolio::race(bm.net, 0, engine);
   ASSERT_TRUE(race.has_winner());
   EXPECT_EQ(race.status(), BmcResult::Status::BoundReached);
   EXPECT_EQ(race.frames_encoded, static_cast<std::uint64_t>(bound + 1));
@@ -124,8 +119,7 @@ TEST(PortfolioRaceTest, EncodeOnceHoldsForIncrementalEntrants) {
   bmc::EngineConfig engine;
   engine.max_depth = bound;
   engine.incremental = true;
-  const PortfolioScheduler scheduler(4);
-  const RaceResult race = scheduler.race(bm.net, 0, engine);
+  const RaceResult race = portfolio::race(bm.net, 0, engine);
   ASSERT_TRUE(race.has_winner());
   EXPECT_EQ(race.frames_encoded, static_cast<std::uint64_t>(bound + 1));
   // And the verdict still matches a solo incremental run.
@@ -138,16 +132,15 @@ TEST(PortfolioRaceTest, EncodeOnceHoldsForIncrementalEntrants) {
 }
 
 TEST(PortfolioRaceTest, RaceIsRepeatable) {
-  // Fixed seeds and objective verdicts: repeated races of the same
+  // Objective verdicts: repeated races of the same
   // instance give the same verdict and cex depth every time (the winning
   // policy may differ — that is scheduling, not semantics).
   const model::Benchmark bm = model::lfsr_hit(8, 9);
-  const PortfolioScheduler scheduler(4, /*base_seed=*/21);
   const bmc::EngineConfig engine = engine_for(bm);
-  const RaceResult first = scheduler.race(bm.net, 0, engine);
+  const RaceResult first = portfolio::race(bm.net, 0, engine);
   ASSERT_TRUE(first.has_winner());
   for (int i = 0; i < 3; ++i) {
-    const RaceResult again = scheduler.race(bm.net, 0, engine);
+    const RaceResult again = portfolio::race(bm.net, 0, engine);
     ASSERT_TRUE(again.has_winner());
     EXPECT_EQ(again.status(), first.status());
     EXPECT_EQ(again.winning().result.counterexample_depth,

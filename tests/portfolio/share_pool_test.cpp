@@ -111,8 +111,9 @@ TEST(SharedClausePoolTest, CloseStopsPublishing) {
 
 TEST(PoolEndpointTest, ExportedAndImportedCountersBalance) {
   // Two endpoints over the same 4-variable tape: everything A exports is
-  // exactly what B imports, and vice versa — the balance invariant the
-  // 2-thread shard test checks end to end.
+  // exactly what B imports, and vice versa — the balance invariant
+  // ShareRaceTest.ConflictHeavyRaceActuallyExchangesClauses checks end to
+  // end.
   SharedClausePool pool(64);
   PoolEndpoint a(pool, /*producer=*/0);
   PoolEndpoint b(pool, /*producer=*/1);

@@ -3,10 +3,11 @@
 //   * soundness: a sharing race never changes a verdict or a cex depth —
 //     imported clauses are tape-implied, so they only prune search;
 //   * liveness: on conflict-heavy instances the pool counters actually
-//     move, in races and in 2-worker shard groups;
-//   * determinism: with sharing disabled the scheduler is bit-identical
-//     to the pre-sharing scheduler — a sharing-off race entrant matches a
-//     solo run of the same job stat for stat.
+//     move;
+//   * determinism: with sharing disabled a race is bit-identical to an
+//     exchange-free one — a sharing-off race entrant matches a solo run
+//     of the same job stat for stat, including the decision counts the
+//     refined ordering drives and the cores it accumulates.
 #include <atomic>
 #include <cstdint>
 
@@ -36,10 +37,9 @@ SharingConfig sharing_off() {
 TEST(ShareRaceTest, SharingRaceVerdictsMatchTheSuite) {
   // The race-is-a-pure-accelerator invariant must survive clause
   // exchange: same verdict, same cex depth, on every quick-suite row.
-  const PortfolioScheduler scheduler(4, /*base_seed=*/11);  // sharing on
-  ASSERT_TRUE(scheduler.sharing().enabled);
+  ASSERT_TRUE(SharingConfig{}.enabled);  // sharing on by default
   for (const auto& bm : model::quick_suite()) {
-    const RaceResult race = scheduler.race(bm.net, 0, engine_for(bm));
+    const RaceResult race = portfolio::race(bm.net, 0, engine_for(bm));
     ASSERT_TRUE(race.has_winner()) << bm.name;
     EXPECT_TRUE(race.sharing) << bm.name;
     EXPECT_EQ(race.status() == BmcResult::Status::CounterexampleFound,
@@ -64,8 +64,7 @@ TEST(ShareRaceTest, ConflictHeavyRaceActuallyExchangesClauses) {
   // solver learns small clauses (exports are unconditional on the other
   // threads), so the pool fills regardless of scheduling.
   const model::Benchmark bm = model::needle(6, 6, 40, 50);
-  const PortfolioScheduler scheduler(4, /*base_seed=*/3);
-  const RaceResult race = scheduler.race(bm.net, 0, engine_for(bm));
+  const RaceResult race = portfolio::race(bm.net, 0, engine_for(bm));
   ASSERT_TRUE(race.has_winner());
   EXPECT_TRUE(race.sharing);
   EXPECT_GT(race.clauses_exported, 0u);
@@ -79,17 +78,19 @@ TEST(ShareRaceTest, ConflictHeavyRaceActuallyExchangesClauses) {
 }
 
 TEST(ShareRaceTest, SharingOffRaceIsBitIdenticalToASoloRun) {
-  // SharingConfig{.enabled = false} must reproduce the pre-sharing
-  // scheduler exactly: a single-policy race (no rival, so no
-  // cancellation) and a solo run of the same job agree on every counter
-  // of every depth.
-  const PortfolioScheduler scheduler(1, /*base_seed=*/5, sharing_off());
+  // SharingConfig{.enabled = false} must reproduce an exchange-free
+  // race exactly: a single-policy race (no rival, so no cancellation)
+  // and a solo run of the same job agree on every counter of every
+  // depth — for the core-ranking policies too, whose engine refines its
+  // own ordering from its own cores raced or solo.
   for (const auto policy :
-       {OrderingPolicy::Dynamic, OrderingPolicy::Evsids}) {
+       {OrderingPolicy::Static, OrderingPolicy::Dynamic,
+        OrderingPolicy::Evsids}) {
     const model::Benchmark bm = model::arbiter_safe(5);
     const bmc::EngineConfig engine = engine_for(bm);
 
-    const RaceResult race = scheduler.race(bm.net, 0, engine, {policy});
+    const RaceResult race =
+        portfolio::race(bm.net, 0, engine, {policy}, sharing_off());
     ASSERT_TRUE(race.has_winner());
     EXPECT_FALSE(race.sharing);
     EXPECT_EQ(race.clauses_exported, 0u);
@@ -113,67 +114,12 @@ TEST(ShareRaceTest, SharingOffRaceIsBitIdenticalToASoloRun) {
       EXPECT_EQ(r.conflicts, s.conflicts) << "depth " << k;
       EXPECT_EQ(r.cnf_vars, s.cnf_vars) << "depth " << k;
       EXPECT_EQ(r.cnf_clauses, s.cnf_clauses) << "depth " << k;
+      EXPECT_EQ(r.ranks_published, s.ranks_published) << "depth " << k;
       EXPECT_EQ(r.clauses_exported, 0u);
       EXPECT_EQ(r.clauses_imported, 0u);
       EXPECT_EQ(r.import_propagations, 0u);
     }
   }
-}
-
-TEST(ShareRaceTest, TwoWorkerShardGroupBalancesItsCounters) {
-  // Two copies of the same job form one shard group sharing a pool.
-  // Whatever the interleaving: the published count is bounded by what
-  // the solvers offered, attachments are bounded by deliveries, and at
-  // least one direction of the exchange fires (the later-finishing
-  // worker imports at every depth's solve start and every restart).
-  const model::Benchmark bm = model::needle(6, 6, 40, 50);
-  bmc::EngineConfig engine = engine_for(bm);
-  engine.policy = OrderingPolicy::Dynamic;
-
-  std::vector<Job> jobs(2);
-  for (std::size_t i = 0; i < jobs.size(); ++i) {
-    jobs[i].net = &bm.net;
-    jobs[i].bad_index = 0;
-    jobs[i].name = "twin/" + std::to_string(i);
-    jobs[i].config = engine;
-  }
-
-  const PortfolioScheduler scheduler(2, /*base_seed=*/9);
-  const BatchReport report = scheduler.run_batch(jobs);
-  ASSERT_EQ(report.results.size(), 2u);
-  for (const auto& r : report.results)
-    EXPECT_EQ(r.result.status, BmcResult::Status::BoundReached) << r.name;
-
-  std::uint64_t accepted = 0, attached = 0;
-  for (const auto& r : report.results)
-    for (const auto& d : r.result.per_depth) {
-      accepted += d.clauses_exported;
-      attached += d.clauses_imported;
-    }
-  EXPECT_GT(report.clauses_exported, 0u);
-  EXPECT_GT(report.clauses_imported, 0u);
-  // The solver counter counts pool acceptances: one per publish.
-  EXPECT_EQ(accepted, report.clauses_exported);
-  // Delivered can exceed published: a scratch session re-imports the
-  // ring's live lemmas into every depth's fresh solver (by design).  But
-  // attached (solver counter) <= delivered (pool counter) always —
-  // root-satisfied copies drop out between the two.
-  EXPECT_LE(attached, report.clauses_imported);
-}
-
-TEST(ShareRaceTest, ShardGroupsRequireIdenticalFormulas) {
-  // Different properties of one netlist are different formulas: no group
-  // forms, no pool, counters stay zero — and results are untouched.
-  const model::Benchmark bm = model::arbiter_buggy(4);
-  ASSERT_GE(bm.net.bad_properties().size(), 1u);
-  bmc::EngineConfig engine = engine_for(bm);
-  const std::vector<Job> jobs = shard_properties(bm.net, engine, "arb");
-  const PortfolioScheduler scheduler(2, /*base_seed=*/13);
-  const BatchReport report = scheduler.run_batch(jobs);
-  // Distinct (net, bad_index) pairs never share (and a singleton batch
-  // has nobody to share with either way).
-  EXPECT_EQ(report.clauses_exported, 0u);
-  EXPECT_EQ(report.clauses_imported, 0u);
 }
 
 TEST(ShareRaceTest, IncrementalEntrantsShareSoundly) {
@@ -183,8 +129,7 @@ TEST(ShareRaceTest, IncrementalEntrantsShareSoundly) {
   const model::Benchmark bm = model::lfsr_hit(8, 9);
   bmc::EngineConfig engine = engine_for(bm);
   engine.incremental = true;
-  const PortfolioScheduler scheduler(4, /*base_seed=*/17);
-  const RaceResult race = scheduler.race(bm.net, 0, engine);
+  const RaceResult race = portfolio::race(bm.net, 0, engine);
   ASSERT_TRUE(race.has_winner());
   EXPECT_EQ(race.status(), BmcResult::Status::CounterexampleFound);
 

@@ -46,9 +46,8 @@ TEST_F(TraceRaceTest, TracedRaceYieldsOneTrackPerEntrant) {
   obs::metrics_enable(true);
   obs::metrics().reset();
 
-  const PortfolioScheduler scheduler(4, /*base_seed=*/7);
   const auto policies = default_race_policies();
-  const RaceResult race = scheduler.race(bm.net, 0, engine, policies);
+  const RaceResult race = portfolio::race(bm.net, 0, engine, policies);
   const TraceDump dump = obs::trace_end();
   obs::metrics_enable(false);
 
@@ -126,8 +125,7 @@ TEST_F(TraceRaceTest, PhaseTimesLandInDepthStats) {
   const auto& bm = suite.back();
   bmc::EngineConfig engine;
   engine.max_depth = bm.suggested_bound;
-  const PortfolioScheduler scheduler(2, /*base_seed=*/3);
-  const RaceResult race = scheduler.race(bm.net, 0, engine);
+  const RaceResult race = portfolio::race(bm.net, 0, engine);
   ASSERT_TRUE(race.has_winner());
   std::uint64_t encode_total = 0, solve_total = 0;
   for (const auto& d : race.winning().result.per_depth) {
@@ -148,11 +146,10 @@ TEST_F(TraceRaceTest, CancelLatencyReported) {
   const auto& bm = suite.front();
   bmc::EngineConfig engine;
   engine.max_depth = bm.suggested_bound;
-  const PortfolioScheduler scheduler(4, /*base_seed=*/7);
 
   // Multi-entrant race with a winner: latency is defined (>= 0 always;
   // == 0 exactly when every loser finished before the verdict).
-  const RaceResult race = scheduler.race(bm.net, 0, engine);
+  const RaceResult race = portfolio::race(bm.net, 0, engine);
   ASSERT_TRUE(race.has_winner());
   EXPECT_GE(race.cancel_latency_us, 0u);
   // Bounded by the race itself (generous slack for scheduling noise).
@@ -160,7 +157,7 @@ TEST_F(TraceRaceTest, CancelLatencyReported) {
             race.wall_time_sec + 1.0);
 
   // Single entrant: nobody to cancel.
-  const RaceResult solo = scheduler.race(
+  const RaceResult solo = portfolio::race(
       bm.net, 0, engine, {bmc::OrderingPolicy::Baseline});
   EXPECT_EQ(solo.cancel_latency_us, 0u);
 }
@@ -171,8 +168,7 @@ TEST_F(TraceRaceTest, UntracedRaceRecordsNothing) {
   const auto& bm = suite.front();
   bmc::EngineConfig engine;
   engine.max_depth = bm.suggested_bound;
-  const PortfolioScheduler scheduler(4);
-  const RaceResult race = scheduler.race(bm.net, 0, engine);
+  const RaceResult race = portfolio::race(bm.net, 0, engine);
   ASSERT_TRUE(race.has_winner());
   // No session: a later begin/end pair sees an empty world, not stale
   // events from the untraced race.

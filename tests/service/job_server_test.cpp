@@ -276,7 +276,6 @@ TEST(JobServerTest, InvalidRequestsAreRejectedUpFront) {
   // these reaches an executor.
   const std::vector<std::pair<const char*, void (*)(api::RaceOptions&)>>
       bad_values{
-          {"threads 0", [](api::RaceOptions& o) { o.threads(0); }},
           {"share_cap 0", [](api::RaceOptions& o) { o.share_cap(0); }},
           {"tier below glue",
            [](api::RaceOptions& o) { o.glue_lbd(5).tier_lbd(4); }},
@@ -313,29 +312,6 @@ TEST(JobServerTest, ShutdownCancelsTheQueueAndRejectsNewWork) {
   const SubmitOutcome late = server.submit(quick_request());
   EXPECT_FALSE(late.accepted);
   EXPECT_EQ(late.reason, RejectReason::ShuttingDown);
-}
-
-TEST(JobServerTest, RankWarmStartFiresOnResubmittedModel) {
-  // Same netlist, different depth: a cache miss, but the rank snapshot
-  // of the first solve seeds the second race's ordering.
-  JobServer server;
-  api::CheckRequest first;
-  first.net = model::fifo_safe(4).net;
-  first.options.policy("dynamic").max_depth(6);
-  const SubmitOutcome o1 = server.submit(std::move(first));
-  ASSERT_TRUE(o1.accepted);
-  ASSERT_TRUE(server.wait(o1.id, 30.0).has_value());
-
-  api::CheckRequest deeper;
-  deeper.net = model::fifo_safe(4).net;
-  deeper.options.policy("dynamic").max_depth(9);
-  const SubmitOutcome o2 = server.submit(std::move(deeper));
-  ASSERT_TRUE(o2.accepted);
-  const auto st = server.wait(o2.id, 30.0);
-  ASSERT_TRUE(st.has_value());
-  EXPECT_EQ(st->state, JobState::Done);
-  EXPECT_FALSE(st->result.from_cache);
-  EXPECT_GE(server.stats().rank_warm_starts, 1u);
 }
 
 TEST(JobServerTest, ConcurrentClientsAllComplete) {

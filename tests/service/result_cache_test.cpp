@@ -135,7 +135,7 @@ TEST(ResultCacheTest, RequestKeyReflectsModelPropertyDepthAndConfig) {
   EXPECT_NE(cache_key(deeper), base);
 
   api::CheckRequest other_config = request;
-  other_config.options.seed(777);
+  other_config.options.share_lbd(7);
   EXPECT_NE(cache_key(other_config), base);
 }
 

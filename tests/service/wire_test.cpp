@@ -4,6 +4,7 @@
 #include <unistd.h>
 
 #include <cstring>
+#include <functional>
 #include <string>
 #include <thread>
 
@@ -115,8 +116,6 @@ TEST(WireOptionsTest, RaceOptionsSurviveTheRoundTrip) {
   sent.policies({"static", "evsids"})
       .max_depth(33)
       .budget_sec(2.5)
-      .threads(3)
-      .seed(0xdeadbeefcafef00dull)  // needs all 64 bits
       .incremental(true)
       .simplify(false)
       .bad_mode(bmc::BadMode::Any)
@@ -126,7 +125,6 @@ TEST(WireOptionsTest, RaceOptionsSurviveTheRoundTrip) {
       .share_lbd(6)
       .share_size(4)
       .share_cap(99)
-      .share_rank(false)
       .core_weighting("exp-decay")
       .preprocess(false)
       .bve_budget(5);
@@ -137,7 +135,6 @@ TEST(WireOptionsTest, RaceOptionsSurviveTheRoundTrip) {
 
   // Fingerprint equality == every behaviour-affecting knob survived.
   EXPECT_EQ(api::config_fingerprint(received), api::config_fingerprint(sent));
-  EXPECT_EQ(received.cli().seed, sent.cli().seed);
   EXPECT_EQ(received.bad_mode(), bmc::BadMode::Any);
 }
 
@@ -150,9 +147,14 @@ TEST(WireOptionsTest, DefaultsRoundTripAndAbsentMembersKeepDefaults) {
   // An empty object (an old client) decodes to pure defaults.
   EXPECT_EQ(api::config_fingerprint(parse_race_options(parse_ok("{}"))),
             api::config_fingerprint(defaults));
-  // So do the retired "decision" and "assumption_savepoint" members.
+  // So do the retired "decision", "assumption_savepoint", "threads",
+  // "seed" and "share_rank" members, whatever their values.
   EXPECT_EQ(api::config_fingerprint(parse_race_options(parse_ok(
-                R"({"decision": "evsids", "assumption_savepoint": false})"))),
+                R"({"decision": "evsids", "assumption_savepoint": false,
+                    "threads": 8, "seed": "7", "share_rank": false})"))),
+            api::config_fingerprint(defaults));
+  EXPECT_EQ(api::config_fingerprint(parse_race_options(
+                parse_ok(R"({"threads": 0, "seed": "-3"})"))),
             api::config_fingerprint(defaults));
 }
 
@@ -212,6 +214,54 @@ TEST(WireDispatchTest, SubmitWaitPollStatsShutdown) {
       handle_request(server, R"({"op": "shutdown"})", &shutdown_requested));
   EXPECT_TRUE(bye.get_bool("ok"));
   EXPECT_TRUE(shutdown_requested.load());
+}
+
+TEST(WireDispatchTest, RetiredOptionKeysDoNotSplitTheCache) {
+  // "threads", "seed" and "share_rank" no longer change a race: an old
+  // client may still send them, they are ignored, and a resubmission
+  // that differs only in them is served from the result cache.
+  JobServer server;
+  const std::string aiger =
+      model::to_aiger_string(model::fifo_buggy(4).net);
+  const auto submit = [&](const std::function<void(JsonWriter&)>& retired) {
+    JsonWriter w;
+    w.begin_object();
+    w.kv("op", "submit");
+    w.kv("aiger", aiger);
+    w.kv("wait", true);
+    w.key("options");
+    w.begin_object();
+    w.key("policies");
+    w.begin_array();
+    w.value("dynamic");
+    w.end_array();
+    w.kv("depth", 24);
+    retired(w);
+    w.end_object();
+    w.end_object();
+    const JsonValue resp = parse_ok(handle_request(server, w.str()));
+    EXPECT_TRUE(resp.get_bool("accepted"));
+    const JsonValue* status = resp.find("status");
+    EXPECT_NE(status, nullptr);
+    if (status == nullptr) return false;
+    EXPECT_EQ(status->get_string("state"), "done");
+    const JsonValue* result = status->find("result");
+    EXPECT_NE(result, nullptr);
+    if (result == nullptr) return false;
+    EXPECT_EQ(result->get_string("verdict"), "cex");
+    return result->get_bool("from_cache", false);
+  };
+
+  EXPECT_FALSE(submit([](JsonWriter& w) {
+    w.kv("threads", 2);
+    w.kv("seed", "7");
+    w.kv("share_rank", false);
+  }));
+  EXPECT_TRUE(submit([](JsonWriter& w) { w.kv("threads", 8); }));
+  const JsonValue stats =
+      parse_ok(handle_request(server, R"({"op": "stats"})"));
+  EXPECT_EQ(stats.get_uint64("cache_hits"), 1u);
+  EXPECT_EQ(stats.get_uint64("cache_misses"), 1u);
 }
 
 TEST(WireDispatchTest, ErrorsAreTypedNotFatal) {

@@ -2,7 +2,7 @@
 // domain socket.
 //
 //   $ ./refbmc-serve --socket /tmp/refbmc.sock [--workers N]
-//                    [--queue-cap N] [--cache-cap N] [--warm-ranks 0|1]
+//                    [--queue-cap N] [--cache-cap N]
 //                    [--default-deadline SEC] [--metrics FILE]
 //
 // Runs until a client sends the "shutdown" op (refbmc-client shutdown)
@@ -39,7 +39,6 @@ int run(int argc, char** argv) {
       static_cast<std::size_t>(opts.get_int("queue-cap", 64));
   cfg.cache_capacity =
       static_cast<std::size_t>(opts.get_int("cache-cap", 128));
-  cfg.warm_start_ranks = opts.get_bool("warm-ranks", true);
   cfg.default_deadline_sec = opts.get_double("default-deadline", -1.0);
   if (cfg.workers < 1) {
     std::fprintf(stderr, "refbmc-serve: --workers must be >= 1\n");
